@@ -47,7 +47,6 @@ from .fourier import (
     build_low_degree_table,
     choose_degree,
     estimate_expectation,
-    estimate_fourier_coefficient,
     exact_fourier_identity_check,
     validate_lambda,
 )
@@ -69,7 +68,6 @@ from .sampler import (
     ModelBPlan,
     enumerate_alg_distribution,
     marginal_sum,
-    sample_alg,
     sample_alg_batch,
     simulate_marginal,
     simulate_model_a,

@@ -14,6 +14,9 @@ from math import comb
 
 import numpy as np
 
+# widest bit row that packs into an int64 index
+MAX_PACKED_BITS = 62
+
 
 def index_to_bits(index, n: int) -> np.ndarray:
     """Expand integer indices into (..., n) uint8 bit arrays."""
@@ -23,11 +26,11 @@ def index_to_bits(index, n: int) -> np.ndarray:
 
 
 def bits_to_index(bits) -> np.ndarray:
-    """Pack (..., n) bit arrays into integer indices (int64, so n <= 62)."""
+    """Pack (..., n) bit arrays into int64 indices, n <= MAX_PACKED_BITS."""
     bits = np.asarray(bits, dtype=np.int64)
     n = bits.shape[-1]
-    if n > 62:
-        raise ValueError("bit packing supports at most 62 bits")
+    if n > MAX_PACKED_BITS:
+        raise ValueError(f"bit packing supports at most {MAX_PACKED_BITS} bits")
     weights = np.int64(1) << np.arange(n - 1, -1, -1)
     return bits @ weights
 

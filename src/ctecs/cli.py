@@ -40,7 +40,7 @@ from .fourier import (
     build_low_degree_table,
     exact_fourier_identity_check,
 )
-from .noise import NoiseSpec, noise_operator_apply
+from .noise import NoiseSpec, flip_convolve, noise_operator_apply
 from .sampler import (
     ModelBPlan,
     enumerate_alg_distribution,
@@ -179,20 +179,31 @@ def cmd_exact(args) -> int:
 
 # --- fourier ---------------------------------------------------------------------
 
-def _source_from_args(decomp, args, dense_cap: int):
-    if args.source == "exact":
+def _coefficient_source(decomp, spec: dict, seed: int, threads: int, dense_cap: int):
+    """The coefficient source a spec dict names: ``{"type": "exact"}`` or
+    ``{"type": "estimator"}`` with ``tau``/``eta`` or ``batch_size``/``batch_count``."""
+    kind = spec.get("type", "exact")
+    if kind == "exact":
         return ExactCoefficients(decomp, dense_cap=dense_cap)
-    if args.tau is not None:
-        cfg = EstimatorConfig.from_accuracy(args.tau, args.eta, seed=args.seed)
+    if kind != "estimator":
+        raise ValidationError(
+            f"unknown source type {kind!r}; choose 'exact' or 'estimator'")
+    if spec.get("tau") is not None:
+        cfg = EstimatorConfig.from_accuracy(spec["tau"], spec.get("eta", 0.05),
+                                            seed=seed)
     else:
-        cfg = EstimatorConfig(batch_size=args.batch_size,
-                              batch_count=args.batch_count, seed=args.seed)
-    return EstimatedCoefficients(decomp, cfg, max_workers=args.threads)
+        cfg = EstimatorConfig(batch_size=int(spec.get("batch_size", 10_000)),
+                              batch_count=int(spec.get("batch_count", 9)),
+                              seed=seed)
+    return EstimatedCoefficients(decomp, cfg, max_workers=threads)
 
 
 def cmd_fourier(args) -> int:
     decomp = _load_decomposition(args.circuit)
-    source = _source_from_args(decomp, args, args.dense_cap)
+    spec = {"type": args.source, "tau": args.tau, "eta": args.eta,
+            "batch_size": args.batch_size, "batch_count": args.batch_count}
+    source = _coefficient_source(decomp, spec, args.seed, args.threads,
+                                 args.dense_cap)
     rng = seeding.derive_rng(args.seed, seeding.LABEL_TABLE)
     started = time.perf_counter()
     table = build_low_degree_table(decomp, args.c, source, rng,
@@ -237,23 +248,33 @@ def _resolve_alpha(spec, decomp, dense_cap: int) -> tuple[float, str]:
     return oracle.anti_concentration_alpha(p), "measured"
 
 
-def _source_from_config(decomp, cfg: dict, seed: int, threads: int, dense_cap: int):
-    src = cfg.get("source", {"type": "exact"})
-    if src.get("type", "exact") == "exact":
-        return ExactCoefficients(decomp, dense_cap=dense_cap)
-    if "tau" in src:
-        est = EstimatorConfig.from_accuracy(src["tau"], src.get("eta", 0.05),
-                                            seed=seed)
-    else:
-        est = EstimatorConfig(batch_size=int(src.get("batch_size", 10_000)),
-                              batch_count=int(src.get("batch_count", 9)),
-                              seed=seed)
-    return EstimatedCoefficients(decomp, est, max_workers=threads)
+_REQUIRED_KEYS = {
+    "A": ("delta", "lambda"),
+    "B": ("delta", "lambda_min"),
+    "marginal": ("measured",),
+}
+
+
+def _check_sample_config(config) -> None:
+    if not isinstance(config, dict):
+        raise ValidationError("a sample config must be a JSON object")
+    mode = config.get("mode", "A")
+    if mode not in _REQUIRED_KEYS:
+        raise ValidationError(f"unknown mode {mode!r}")
+    missing = [key for key in _REQUIRED_KEYS[mode] if key not in config]
+    if "circuit" not in config and "instance" not in config:
+        missing.append("'circuit' or 'instance'")
+    if missing:
+        raise ValidationError(
+            f"mode {mode} config lacks {', '.join(missing)}")
+    if not isinstance(config.get("source", {}), dict):
+        raise ValidationError("'source' must be a JSON object")
 
 
 def cmd_sample(args) -> int:
     with open(args.config) as handle:
         config = json.load(handle)
+    _check_sample_config(config)
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     if "instance" in config:
         decomp = decomposition_from_json_dict(config["instance"])
@@ -261,39 +282,31 @@ def cmd_sample(args) -> int:
         decomp = _load_decomposition(config["circuit"])
     mode = config.get("mode", "A")
     num_samples = int(config.get("num_samples", 1000))
-    alpha_spec = config.get("alpha", {"measure": True})
-    source = _source_from_config(decomp, config, seed, args.threads,
-                                 args.dense_cap)
+    source = _coefficient_source(decomp, config.get("source", {}), seed,
+                                 args.threads, args.dense_cap)
     rng = seeding.derive_rng(seed, seeding.LABEL_SAMPLE)
-    if mode == "A":
-        alpha, alpha_how = _resolve_alpha(alpha_spec, decomp, args.dense_cap)
-        result = simulate_model_a(
-            decomp, alpha, float(config["delta"]), float(config["lambda"]),
-            source, rng, num_samples,
-            c_max=int(config.get("c_max", 4)),
-            true_epsilon=config.get("epsilon"),
-            mask_budget=config.get("mask_budget"),
-        )
-    elif mode == "B":
-        alpha, alpha_how = _resolve_alpha(alpha_spec, decomp, args.dense_cap)
-        by_qubit = {int(j): float(v)
-                    for j, v in config.get("lambda_by_qubit", {}).items()}
-        plan = ModelBPlan(float(config["lambda_min"]),
-                          tuple(by_qubit.items()))
-        eps = config.get("epsilon")
-        result = simulate_model_b(
-            decomp, alpha, float(config["delta"]), plan, source, rng,
-            num_samples,
-            c_max=int(config.get("c_max", 4)),
-            true_epsilon_min=min(eps) if isinstance(eps, list) else eps,
-            mask_budget=config.get("mask_budget"),
-        )
-    elif mode == "marginal":
+    if mode == "marginal":
         alpha, alpha_how = None, "unused"
         result = simulate_marginal(
             decomp, config["measured"], source, rng, num_samples)
     else:
-        raise ValidationError(f"unknown mode {mode!r}")
+        alpha, alpha_how = _resolve_alpha(
+            config.get("alpha", {"measure": True}), decomp, args.dense_cap)
+        limits = {"c_max": int(config.get("c_max", 4)),
+                  "mask_budget": config.get("mask_budget")}
+        eps = config.get("epsilon")
+        if mode == "A":
+            result = simulate_model_a(
+                decomp, alpha, float(config["delta"]), float(config["lambda"]),
+                source, rng, num_samples, true_epsilon=eps, **limits)
+        else:
+            by_qubit = {int(j): float(v)
+                        for j, v in config.get("lambda_by_qubit", {}).items()}
+            plan = ModelBPlan(float(config["lambda_min"]), tuple(by_qubit.items()))
+            result = simulate_model_b(
+                decomp, alpha, float(config["delta"]), plan, source, rng,
+                num_samples, **limits,
+                true_epsilon_min=min(eps) if isinstance(eps, list) else eps)
     report = {
         "schema": REPORT_SCHEMA,
         "command": "sample",
@@ -318,46 +331,30 @@ def cmd_sample(args) -> int:
 
 def _verify_sampling(decomp, config: dict, result, dense_cap: int) -> dict:
     """Compare the run against the dense oracle (small n only)."""
-    n = decomp.n
     mode = config.get("mode", "A")
-    out: dict = {}
-    if mode == "marginal":
-        if n > dense_cap:
-            raise ResourceLimitError(f"verification needs n <= {dense_cap}")
-        p = oracle.output_distribution(decomp.circuit, dense_cap=dense_cap)
-        target = oracle.marginal_distribution(p, config["measured"])
-        alg = enumerate_alg_distribution(result.table)
-        out["l1_enumerated_vs_dense"] = oracle.l1_distance(alg, target)
-        emp = oracle.empirical_distribution(result.samples, len(config["measured"]))
-        out["l1_empirical_vs_dense"] = oracle.l1_distance(emp, target)
-        return out
     eps = config.get("epsilon")
-    if eps is None:
-        out["note"] = "no true epsilon in config; oracle comparison skipped"
-        return out
-    if n > dense_cap:
+    if mode != "marginal" and eps is None:
+        return {"note": "no true epsilon in config; oracle comparison skipped"}
+    if decomp.n > dense_cap:
         raise ResourceLimitError(f"verification needs n <= {dense_cap}")
     p = oracle.output_distribution(decomp.circuit, dense_cap=dense_cap)
-    spec = NoiseSpec.per_qubit(eps) if isinstance(eps, list) else NoiseSpec.uniform(eps)
-    target = oracle.apply_depolarizing_exact(p, spec, n=n)
     alg = enumerate_alg_distribution(result.table)
-    if mode == "B":
-        deltas = ModelBPlan(
-            float(config["lambda_min"]),
-            tuple((int(j), float(v))
-                  for j, v in config.get("lambda_by_qubit", {}).items()),
-        ).residual_deltas(n)
-        vec = alg.p
-        for j, dj in enumerate(deltas):
-            vec = noise_operator_apply(vec, j, float(dj), n)
-        alg = oracle.DistVector(n, vec)
-    out["l1_enumerated_vs_dense"] = oracle.l1_distance(alg, target)
-    emp = oracle.empirical_distribution(result.samples, n)
-    out["l1_empirical_vs_dense"] = oracle.l1_distance(emp, target)
-    out["negative_mass_of_q"] = negative_mass(result.table)
-    bound = result.report.get("l1_bound", float(config["delta"]))
-    out["l1_target"] = bound
-    out["within_target"] = out["l1_enumerated_vs_dense"] <= bound
+    if mode == "marginal":
+        target = oracle.marginal_distribution(p, config["measured"])
+    else:
+        spec = NoiseSpec.per_qubit(eps) if isinstance(eps, list) else NoiseSpec.uniform(eps)
+        target = oracle.apply_depolarizing_exact(p, spec, n=decomp.n)
+        if mode == "B":
+            alg = oracle.DistVector(
+                alg.n, flip_convolve(alg.p, result.report["residual_deltas"]))
+    emp = oracle.empirical_distribution(result.samples, alg.n)
+    out = {"l1_enumerated_vs_dense": oracle.l1_distance(alg, target),
+           "l1_empirical_vs_dense": oracle.l1_distance(emp, target)}
+    if mode != "marginal":
+        bound = result.report.get("l1_bound", float(config["delta"]))
+        out["negative_mass_of_q"] = negative_mass(result.table)
+        out["l1_target"] = bound
+        out["within_target"] = out["l1_enumerated_vs_dense"] <= bound
     return out
 
 
@@ -483,7 +480,6 @@ _SUITES = {
     "fourier-identity": _suite_fourier_identity,
     "noise-algebra": _suite_noise_algebra,
     "noise-factorization": _suite_noise_factorization,
-    "lemma9": _suite_noise_factorization,  # alias kept for script compatibility
     "ecs": _suite_ecs,
     "sampler-fix": _suite_sampler_fix,
     "iqp-input-noise": _suite_iqp_input_noise,

@@ -6,10 +6,11 @@ Phase convention: a signed Pauli is i**k X^a Z^b with k tracked mod 4, so
 
     P |x> = i**k (-1)**(b.x) |x XOR a>.
 
-Every operator exposes a scalar column oracle ``columns(x)`` (distinct row
-indices, nonzero entries) and a batched ``columns_bits`` used by the
-expectation estimator; the batched form may list a row twice where the
-scalar form would merge, which leaves row sums unchanged.
+Each operator implements one column oracle, the batched ``columns_bits``
+that the expectation estimator runs; it may list a row twice, which leaves
+row sums unchanged.  The scalar ``columns(x)`` is derived from it once, on
+``EcsOperation``: it merges duplicate rows and drops entries at or below
+``COEFF_EPS``.
 """
 
 from __future__ import annotations
@@ -50,16 +51,29 @@ class EcsOperation(abc.ABC):
         """Upper bound on nonzero entries per column."""
 
     @abc.abstractmethod
-    def columns(self, x: int) -> list[tuple[complex, int]]:
-        """Nonzero entries of column x as (value, row-index) pairs."""
-
-    @abc.abstractmethod
     def columns_bits(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batched columns for (B, n) inputs.
 
         Returns (values (B, s) complex, rows (B, s, n) uint8); zero values
         pad rows that have fewer entries.
         """
+
+    def columns(self, x: int) -> list[tuple[complex, int]]:
+        """Nonzero entries of column x as (value, row-index) pairs, one per
+        distinct row in ascending row order."""
+        betas, gammas = self.columns_bits(
+            _bits.index_to_bits(np.int64(x), self.n)[None, :])
+        rows, values = _merge_rows(_bits.bits_to_index(gammas[0]), betas[0])
+        keep = np.abs(values) > COEFF_EPS
+        return [(complex(v), int(r)) for v, r in zip(values[keep], rows[keep])]
+
+
+def _merge_rows(rows: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows (ascending) with the values listed for each summed."""
+    distinct, inverse = np.unique(rows.ravel(), return_inverse=True)
+    merged = np.zeros(len(distinct), dtype=complex)
+    np.add.at(merged, inverse, values.ravel())
+    return distinct, merged
 
 
 @dataclass(frozen=True)
@@ -113,10 +127,6 @@ class SignedPauli(EcsOperation):
     @property
     def sparsity(self) -> int:
         return 1
-
-    def columns(self, x: int) -> list[tuple[complex, int]]:
-        sign = -1.0 if _bits.parity(self.zmask & x) else 1.0
-        return [(self.phase * sign, x ^ self.xmask)]
 
     def columns_bits(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bits = np.asarray(bits, dtype=np.uint8)
@@ -228,14 +238,6 @@ class PauliCombination(EcsOperation):
                 terms.append((ca * cb, pa @ pb))
         return PauliCombination(self.n, terms)
 
-    def columns(self, x: int) -> list[tuple[complex, int]]:
-        acc: dict[int, complex] = {}
-        for coeff, xm, zm in zip(self._coeffs, self._xmasks, self._zmasks):
-            sign = -1.0 if _bits.parity(int(zm) & x) else 1.0
-            row = x ^ int(xm)
-            acc[row] = acc.get(row, 0j) + coeff * sign
-        return [(val, row) for row, val in sorted(acc.items()) if abs(val) > COEFF_EPS]
-
     def columns_bits(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bits = np.asarray(bits, dtype=np.uint8)
         par = (bits.astype(np.int64) @ self._zbits.T) & 1  # (B, T)
@@ -265,30 +267,6 @@ class LocalOperator(EcsOperation):
         return max(
             int(np.count_nonzero(np.abs(self.block[:, c]) > COEFF_EPS))
             for c in range(self.block.shape[1]))
-
-    def _local_index(self, x: int) -> int:
-        m = len(self.support)
-        col = 0
-        for i, q in enumerate(self.support):
-            col |= _bits.qubit_bit(x, q, self.n) << (m - 1 - i)
-        return col
-
-    def columns(self, x: int) -> list[tuple[complex, int]]:
-        m = len(self.support)
-        col = self.block[:, self._local_index(x)]
-        out = []
-        for row in range(1 << m):
-            if abs(col[row]) <= COEFF_EPS:
-                continue
-            y = x
-            for i, q in enumerate(self.support):
-                pos = 1 << (self.n - 1 - q)
-                if (row >> (m - 1 - i)) & 1:
-                    y |= pos
-                else:
-                    y &= ~pos
-            out.append((complex(col[row]), y))
-        return out
 
     def columns_bits(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bits = np.asarray(bits, dtype=np.uint8)
@@ -322,16 +300,6 @@ class EcsProduct(EcsOperation):
         for f in self.factors:
             out *= f.sparsity
         return out
-
-    def columns(self, x: int) -> list[tuple[complex, int]]:
-        acc: dict[int, complex] = {x: 1.0 + 0j}
-        for factor in reversed(self.factors):
-            nxt: dict[int, complex] = {}
-            for row, coeff in acc.items():
-                for beta, gamma in factor.columns(row):
-                    nxt[gamma] = nxt.get(gamma, 0j) + coeff * beta
-            acc = nxt
-        return [(val, row) for row, val in sorted(acc.items()) if abs(val) > COEFF_EPS]
 
     def columns_bits(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bits = np.asarray(bits, dtype=np.uint8)
@@ -473,10 +441,10 @@ def ecs_for(
 def dense_from_columns(op: EcsOperation) -> np.ndarray:
     """Materialize the operator from its column oracle (test helper)."""
     dim = 1 << op.n
+    betas, gammas = op.columns_bits(_bits.index_to_bits(np.arange(dim), op.n))
+    cols = np.broadcast_to(np.arange(dim)[:, None], betas.shape)
     mat = np.zeros((dim, dim), dtype=complex)
-    for x in range(dim):
-        for beta, gamma in op.columns(x):
-            mat[gamma, x] = beta
+    np.add.at(mat, (_bits.bits_to_index(gammas), cols), betas)
     return mat
 
 
@@ -490,21 +458,24 @@ def check_ecs_observable(
     """Spot-check Hermiticity and A @ A = I on sampled basis columns.
 
     Every conjugated Z^s observable satisfies both; operators failing
-    either are rejected at the estimator boundary.
+    either are rejected at the estimator boundary.  Each trial reads one
+    column x and then, in one batched call, the columns of its rows.
     """
     dim = 1 << op.n
     for _ in range(trials):
         x = int(rng.integers(dim))
         column = op.columns(x)
-        acc: dict[int, complex] = {}
-        for beta, gamma in column:
-            mirror = dict((row, val) for val, row in op.columns(gamma))
-            if abs(mirror.get(x, 0j) - np.conj(beta)) > tol:
-                raise ValidationError(
-                    "operator is not Hermitian on sampled columns")
-            for beta2, row in op.columns(gamma):
-                acc[row] = acc.get(row, 0j) + beta * beta2
-        acc[x] = acc.get(x, 0j) - 1.0
-        if any(abs(v) > tol for v in acc.values()):
+        betas = np.array([beta for beta, _ in column], dtype=complex)
+        gammas = np.array([gamma for _, gamma in column], dtype=np.int64)
+        betas2, rows2 = op.columns_bits(_bits.index_to_bits(gammas, op.n))
+        rows2 = _bits.bits_to_index(rows2)
+        mirror = np.where(rows2 == x, betas2, 0.0).sum(axis=1)
+        if np.any(np.abs(mirror - np.conj(betas)) > tol):
+            raise ValidationError(
+                "operator is not Hermitian on sampled columns")
+        _, square = _merge_rows(
+            np.append(rows2.ravel(), x),
+            np.append((betas[:, None] * betas2).ravel(), -1.0))
+        if np.any(np.abs(square) > tol):
             raise ValidationError(
                 "operator squared is not the identity on sampled columns")

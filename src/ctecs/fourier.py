@@ -142,7 +142,8 @@ def choose_degree(alpha: float, delta: float, lam: float) -> int:
     if not 0.0 < lam < 1.0:
         raise ValidationError(f"lambda must lie in (0, 1), got {lam}")
     c = math.ceil(math.log2(10.0 * math.sqrt(alpha) / delta) / lam)
-    assert c > 3
+    if c <= 3:
+        raise AssertionError(f"degree cutoff {c} does not exceed 3")
     return c
 
 
@@ -310,21 +311,6 @@ def estimate_expectation(
     return estimate_expectation_detailed(state, op, cfg, rng).value
 
 
-def estimate_fourier_coefficient(
-    decomp: CtEcsDecomposition,
-    mask: int,
-    cfg: EstimatorConfig,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """p_hat(s) estimate = <phi| V^dag Z^s V |phi> / 2**n for nonzero s."""
-    if mask == 0:
-        raise ValidationError(
-            "the zero mask is pinned to 1/2**n by the table constructor")
-    state = ct_state_of(decomp.u_block)
-    op = ecs_for(decomp, mask)
-    return estimate_expectation(state, op, cfg, rng) / (1 << decomp.n)
-
-
 # --- coefficient sources -------------------------------------------------------------
 
 class CoefficientSource(abc.ABC):
@@ -353,11 +339,19 @@ class ExactCoefficients(CoefficientSource):
 
 
 class EstimatedCoefficients(CoefficientSource):
-    """Sampled route through the CT-state / column-oracle estimator."""
+    """Sampled route through the CT-state / column-oracle estimator.
+
+    Sampled rows are packed into int64, so registers are limited to
+    ``_bits.MAX_PACKED_BITS`` qubits.
+    """
 
     def __init__(self, decomp: CtEcsDecomposition, cfg: EstimatorConfig,
                  *, support_cap: int = 12, term_cap: int = 256,
                  max_workers: int = 1):
+        if decomp.n > _bits.MAX_PACKED_BITS:
+            raise ResourceLimitError(
+                f"the estimator supports at most {_bits.MAX_PACKED_BITS} qubits "
+                f"(int64 row packing), got {decomp.n}")
         self.decomp = decomp
         self.cfg = cfg
         self.support_cap = support_cap

@@ -51,10 +51,6 @@ class NoiseSpec:
                 f"model B carries {len(self._rates)} rates for {n} qubits")
         return np.array(self._rates)
 
-    @property
-    def epsilon_min(self) -> float:
-        return min(self._rates)
-
     def to_json_dict(self) -> dict:
         if self.model == MODEL_A:
             return {"model": "A", "epsilon": self._rates[0]}

@@ -270,10 +270,6 @@ def l1_distance(a, b) -> float:
     return float(np.abs(as_prob_array(a) - as_prob_array(b)).sum())
 
 
-def total_variation(a, b) -> float:
-    return 0.5 * l1_distance(a, b)
-
-
 def empirical_distribution(samples: np.ndarray, n: int) -> DistVector:
     """Normalized counts of (num, n) bit-array samples."""
     idx = _bits.bits_to_index(np.asarray(samples, dtype=np.uint8))
@@ -297,14 +293,9 @@ def marginal_distribution(dist, measured) -> DistVector:
 
 # --- expectations ----------------------------------------------------------------
 
-def _z_signs(mask: int, n: int) -> np.ndarray:
-    """Diagonal of Z^mask: (-1)**(mask . x) over all indices x."""
-    bits = _bits.index_to_bits(np.arange(1 << n), n).astype(np.int64)
-    mask_bits = _bits.index_to_bits(np.int64(mask), n).astype(np.int64)
-    return 1.0 - 2.0 * ((bits @ mask_bits) & 1)
-
-
 def expectation_exact(circuit: Circuit, mask: int, *, dense_cap: int = DENSE_CAP) -> float:
     """<0^n| C^dag Z^mask C |0^n> by dense simulation."""
     amps = simulate_state(circuit, dense_cap=dense_cap)
-    return float(np.real(np.vdot(amps, _z_signs(mask, circuit.n) * amps)))
+    n = circuit.n
+    signs = _bits.sign_character([mask], np.arange(1 << n), n)[0]
+    return float(np.real(np.vdot(amps, signs * amps)))

@@ -76,15 +76,28 @@ class _LevelData:
         self.prefix_bits: list[np.ndarray] = []
         self.level_values: list[np.ndarray] = []
         bit_rows = _bits.mask_bit_matrix(masks, self.n)
-        highest = np.array([
-            max((j for j in range(self.n) if _bits.qubit_bit(int(m), j, self.n)),
-                default=-1)
-            for m in masks
-        ])
+        # the highest qubit of a mask is its lowest set bit
+        low = np.log2(np.maximum(masks & -masks, 1)).astype(np.int64)
+        highest = np.where(masks > 0, self.n - 1 - low, -1)
         for k in range(self.n):
             pick = highest == k
             self.prefix_bits.append(bit_rows[pick][:, :k].astype(float))
             self.level_values.append(values[pick].astype(float))
+
+    def step(self, k: int, prefixes: np.ndarray, partial: np.ndarray):
+        """Children sums (s0, s1) and the branch term B at level k.
+
+        ``prefixes`` holds one row per prefix with its first k bits set;
+        ``partial`` is the carried sum A of each prefix.
+        """
+        values = self.level_values[k]
+        if len(values):
+            parity = (prefixes[:, :k].astype(float) @ self.prefix_bits[k].T) % 2.0
+            branch = (1.0 - 2.0 * parity) @ values
+        else:
+            branch = np.zeros(len(partial))
+        factor = float(2 ** (self.n - k - 1))
+        return factor * (partial + branch), factor * (partial - branch), branch
 
 
 def _child_split(s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
@@ -117,15 +130,7 @@ def _walk_chunk(
     if np.any(visited < _PATH_TOL):
         raise AssertionError("S at the empty prefix is negative")
     for k in range(n):
-        values = levels.level_values[k]
-        if len(values):
-            parity = (bits[:, :k].astype(float) @ levels.prefix_bits[k].T) % 2.0
-            branch = (1.0 - 2.0 * parity) @ values
-        else:
-            branch = np.zeros(count)
-        factor = float(2 ** (n - k - 1))
-        s0 = factor * (partial + branch)
-        s1 = factor * (partial - branch)
+        s0, s1, branch = levels.step(k, bits, partial)
         p0 = _child_split(s0, s1)
         chose1 = rng.random(count) >= p0
         bits[:, k] = chose1
@@ -140,6 +145,8 @@ def sample_alg_batch(
     table: FourierTable, rng: np.random.Generator, size: int
 ) -> np.ndarray:
     """(size, n) uint8 samples from Alg(q) for the table's function q."""
+    if size < 0:
+        raise ValidationError(f"sample count must be >= 0, got {size}")
     levels = _LevelData(table)
     chunks = [CHUNK_SIZE] * (size // CHUNK_SIZE)
     if size % CHUNK_SIZE:
@@ -149,11 +156,6 @@ def sample_alg_batch(
     streams = rng.spawn(len(chunks))
     return np.concatenate(
         [_walk_chunk(levels, stream, count) for stream, count in zip(streams, chunks)])
-
-
-def sample_alg(table: FourierTable, rng: np.random.Generator) -> str:
-    """One draw from Alg(q)."""
-    return _bits.bits_to_string(sample_alg_batch(table, rng, 1)[0])
 
 
 def enumerate_alg_distribution(
@@ -169,15 +171,7 @@ def enumerate_alg_distribution(
     for k in range(n):
         prefixes = _bits.index_to_bits(np.arange(1 << k), k) if k else \
             np.zeros((1, 0), dtype=np.uint8)
-        values = levels.level_values[k]
-        if len(values):
-            parity = (prefixes.astype(float) @ levels.prefix_bits[k].T) % 2.0
-            branch = (1.0 - 2.0 * parity) @ values
-        else:
-            branch = np.zeros(1 << k)
-        factor = float(2 ** (n - k - 1))
-        s0 = factor * (partial + branch)
-        s1 = factor * (partial - branch)
+        s0, s1, branch = levels.step(k, prefixes, partial)
         dead = (s0 < _PATH_TOL) & (s1 < _PATH_TOL)
         if np.any(mass[dead] > 1e-15):
             raise AssertionError("positive mass reached a negative partial sum")
@@ -373,14 +367,9 @@ def marginal_table(
     m = len(measured)
     scale = 0.5 ** m
     entries: dict[int, float] = {0: scale}
-    small_masks = [sm for sm in range(1, 1 << m)]
-    streams = rng.spawn(len(small_masks))
-    for sm, stream in zip(small_masks, streams):
-        full = 0
-        for i in range(m):
-            if _bits.qubit_bit(sm, i, m):
-                full |= 1 << (n - 1 - measured[i])
-        entries[sm] = source.expectation(full, stream) * scale
+    for sm, stream in zip(range(1, 1 << m), rng.spawn((1 << m) - 1)):
+        qubits = [measured[i] for i in _bits.mask_to_qubits(sm, m)]
+        entries[sm] = source.expectation(_bits.qubits_to_mask(qubits, n), stream) * scale
     return FourierTable(m, m, entries)
 
 

@@ -161,9 +161,59 @@ def test_sample_estimator_tiny_batch_reports_honest_failure(tmp_path, capsys):
     assert not verification["within_target"]
 
 
+def _sample_exit(tmp_path, capsys, config):
+    config_file = tmp_path / "cfg.json"
+    config_file.write_text(json.dumps(config))
+    code = main(["sample", "--config", str(config_file)])
+    return code, capsys.readouterr().err
+
+
+def test_sample_negative_sample_count_is_usage_error(tmp_path, capsys):
+    instance = _write_instance(tmp_path, capsys, n=4, seed=3)
+    code, _ = _sample_exit(tmp_path, capsys, {
+        "circuit": str(instance), "mode": "A", "alpha": {"assume": 2.0},
+        "delta": 0.4, "lambda": 0.3, "num_samples": -5})
+    assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("mode,drop", [
+    ("A", "delta"), ("A", "lambda"), ("B", "delta"), ("B", "lambda_min"),
+    ("marginal", "measured"), ("A", "circuit"),
+])
+def test_sample_missing_config_key_is_usage_error(tmp_path, capsys, mode, drop):
+    instance = _write_instance(tmp_path, capsys, n=4, seed=3)
+    config = {"circuit": str(instance), "mode": mode, "alpha": {"assume": 2.0},
+              "delta": 0.4, "lambda": 0.3, "lambda_min": 0.3,
+              "measured": [0, 1], "num_samples": 8}
+    del config[drop]
+    code, err = _sample_exit(tmp_path, capsys, config)
+    assert code == EXIT_USAGE
+    assert drop in err
+
+
+def test_sample_unknown_source_type_is_usage_error(tmp_path, capsys):
+    instance = _write_instance(tmp_path, capsys, n=4, seed=3)
+    code, err = _sample_exit(tmp_path, capsys, {
+        "circuit": str(instance), "mode": "A", "alpha": {"assume": 2.0},
+        "delta": 0.4, "lambda": 0.3, "source": {"type": "estimate"},
+        "num_samples": 8})
+    assert code == EXIT_USAGE
+    assert "estimate" in err
+
+
+def test_sample_estimator_over_width_limit_is_resource_error(tmp_path, capsys):
+    instance = _write_instance(tmp_path, capsys, n=70, seed=3)
+    code, err = _sample_exit(tmp_path, capsys, {
+        "circuit": str(instance), "mode": "A", "alpha": {"assume": 2.0},
+        "delta": 0.4, "lambda": 0.3, "c_max": 2,
+        "source": {"type": "estimator", "batch_size": 10, "batch_count": 1},
+        "num_samples": 8})
+    assert code == EXIT_RESOURCE
+    assert "at most 62 qubits" in err
+
+
 def test_verify_suites_pass(tmp_path, capsys):
-    # "lemma9" is the compatibility alias of "noise-factorization"
-    for suite in ("noise-factorization", "lemma9", "sampler-fix"):
+    for suite in ("noise-factorization", "sampler-fix"):
         code, out = run_cli(capsys, "verify", "--suite", suite, "--seed", "0")
         assert code == EXIT_OK
         assert json.loads(out)["ok"]
@@ -175,7 +225,7 @@ def test_verify_unknown_suite_is_usage_error(capsys):
 
 
 def test_report_aggregates(tmp_path, capsys):
-    code, out = run_cli(capsys, "verify", "--suite", "lemma9",
+    code, out = run_cli(capsys, "verify", "--suite", "noise-factorization",
                         "--out", str(tmp_path / "v.json"))
     assert code == EXIT_OK
     code, out = run_cli(capsys, "report", str(tmp_path / "v.json"))

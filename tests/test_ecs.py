@@ -310,6 +310,21 @@ def test_check_ecs_observable_rejects_non_unitary():
         check_ecs_observable(bad, np.random.default_rng(0))
 
 
+def test_columns_merges_duplicate_rows():
+    # X and XZ share a row in every column: they add on |0> and cancel on |1>
+    op = PauliCombination(1, [(1.0, SignedPauli.x_on(1, (0,))),
+                              (1.0, SignedPauli(1, 0, 1, 1))])
+    betas, _ = op.columns_bits(np.array([[0], [1]], dtype=np.uint8))
+    assert betas.shape == (2, 2)
+    assert op.columns(0) == [(2.0, 1)]
+    assert op.columns(1) == []
+
+
+def test_check_ecs_observable_rejects_non_hermitian():
+    with pytest.raises(ValidationError, match="Hermitian"):
+        check_ecs_observable(SignedPauli(2, 1, 0b10, 0), np.random.default_rng(0))
+
+
 def test_batch_columns_agree_with_scalar():
     rng = np.random.default_rng(8)
     for family in FAMILIES:

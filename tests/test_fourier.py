@@ -21,7 +21,6 @@ from ctecs import (
     ct_state_of,
     ecs_for,
     estimate_expectation,
-    estimate_fourier_coefficient,
     exact_fourier_identity_check,
     random_family_instance,
     validate_lambda,
@@ -149,6 +148,23 @@ def test_choose_degree_always_exceeds_three():
         delta = float(rng.uniform(0.01, 0.99))
         lam = float(rng.uniform(0.01, 0.99))
         assert choose_degree(alpha, delta, lam) > 3
+
+
+def test_choose_degree_invariant_survives_optimized_mode():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ctecs
+
+    # force a cutoff of 3 under ``python -O``, which strips bare asserts
+    code = ("import math; from ctecs import fourier; "
+            "math.ceil = lambda value: 3; fourier.choose_degree(1.0, 0.5, 0.5)")
+    env = {"PYTHONPATH": str(Path(ctecs.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode != 0
+    assert "AssertionError" in run.stderr
 
 
 def test_choose_degree_rejects_out_of_range():
@@ -283,9 +299,9 @@ def test_estimate_fourier_coefficient_empty_diagonal_is_exact():
 
     decomp = build_iqp(4, [])  # C = H H = I, so p_hat(s) = 1/16 for all s
     cfg = EstimatorConfig(batch_size=100, batch_count=3)
+    source = EstimatedCoefficients(decomp, cfg)
     for mask in (0b0001, 0b1010):
-        got = estimate_fourier_coefficient(decomp, mask, cfg,
-                                           np.random.default_rng(mask))
+        got = source.expectation(mask, np.random.default_rng(mask)) / 2 ** 4
         assert got == pytest.approx(1 / 16, abs=1e-12)
 
 
@@ -293,11 +309,11 @@ def test_estimate_fourier_coefficient_matches_dense_and_rejects_zero():
     decomp = random_family_instance(CLIFFORD_MAGIC, 6, np.random.default_rng(11))
     coeffs = oracle.fourier_transform(oracle.output_distribution(decomp.circuit))
     cfg = EstimatorConfig(batch_size=50_000, batch_count=5)
-    got = estimate_fourier_coefficient(decomp, 0b100000, cfg,
-                                       np.random.default_rng(12))
+    source = EstimatedCoefficients(decomp, cfg)
+    got = source.expectation(0b100000, np.random.default_rng(12)) / 2 ** 6
     assert abs(got - coeffs[0b100000]) <= 0.01 / 2 ** 6
     with pytest.raises(ValidationError):
-        estimate_fourier_coefficient(decomp, 0, cfg)
+        source.expectation(0, np.random.default_rng(12))
 
 
 # --- table construction ------------------------------------------------------------------

@@ -18,13 +18,12 @@ from ctecs import (
     marginal_sum,
     noise_operator_apply,
     random_family_instance,
-    sample_alg,
     sample_alg_batch,
     simulate_marginal,
     simulate_model_a,
     simulate_model_b,
 )
-from ctecs import oracle
+from ctecs import _bits, oracle
 from ctecs.circuits import h
 from ctecs.fourier import EstimatedCoefficients, ExactCoefficients, uniform_table
 from ctecs.sampler import negative_mass
@@ -76,7 +75,7 @@ def test_sampler_negative_leaf_hand_example():
     # q = (1.2, -0.2): the sign-fix makes 0 deterministic
     samples = sample_alg_batch(table, np.random.default_rng(3), 1000)
     assert not samples.any()
-    assert sample_alg(table, np.random.default_rng(4)) == "0"
+    assert not sample_alg_batch(table, np.random.default_rng(4), 1).any()
     alg = enumerate_alg_distribution(table)
     np.testing.assert_allclose(alg.p, [1.0, 0.0], atol=1e-15)
     q = table.dense_values()
@@ -89,6 +88,24 @@ def test_enumeration_equals_q_when_nonnegative():
     q = table.dense_values()
     assert (q >= 0).all()
     np.testing.assert_allclose(enumerate_alg_distribution(table).p, q, atol=1e-12)
+
+
+def test_levels_group_masks_by_highest_qubit():
+    from ctecs.sampler import _LevelData
+
+    table = random_table(np.random.default_rng(6), 7, 3, density=1.0)
+    levels = _LevelData(table)
+    for k in range(7):
+        want = [v for m, v in zip(table.masks, table.values)
+                if m and max(_bits.mask_to_qubits(int(m), 7)) == k]
+        np.testing.assert_array_equal(levels.level_values[k], want)
+
+
+def test_sampler_rejects_negative_size():
+    table = uniform_table(3)
+    with pytest.raises(ValidationError):
+        sample_alg_batch(table, np.random.default_rng(0), -5)
+    assert sample_alg_batch(table, np.random.default_rng(0), 0).shape == (0, 3)
 
 
 def test_fix_identity_on_random_tables():
