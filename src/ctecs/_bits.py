@@ -25,14 +25,34 @@ def index_to_bits(index, n: int) -> np.ndarray:
     return ((index[..., None] >> shifts) & 1).astype(np.uint8)
 
 
+def chunk_values(bits) -> list[np.ndarray]:
+    """Integers of the 8-qubit chunks of (..., n) bit arrays.
+
+    Chunk k covers qubits 8k .. min(8k + 8, n) - 1 with its first qubit
+    most significant; each value is a (...) uint8 array, computed without
+    widening the bit array.
+    """
+    bits = np.asarray(bits)
+    n = bits.shape[-1]
+    out = []
+    for start in range(0, n, 8):
+        width = min(8, n - start)
+        weights = (1 << np.arange(width - 1, -1, -1)).astype(np.uint8)
+        out.append(bits[..., start:start + width] @ weights)
+    return out
+
+
 def bits_to_index(bits) -> np.ndarray:
     """Pack (..., n) bit arrays into int64 indices, n <= MAX_PACKED_BITS."""
-    bits = np.asarray(bits, dtype=np.int64)
+    bits = np.asarray(bits)
     n = bits.shape[-1]
     if n > MAX_PACKED_BITS:
         raise ValueError(f"bit packing supports at most {MAX_PACKED_BITS} bits")
-    weights = np.int64(1) << np.arange(n - 1, -1, -1)
-    return bits @ weights
+    out = np.zeros(bits.shape[:-1], dtype=np.int64)
+    for start, value in zip(range(0, n, 8), chunk_values(bits)):
+        out <<= min(8, n - start)
+        out |= value
+    return out[()]
 
 
 def string_to_bits(s: str) -> np.ndarray:

@@ -221,6 +221,9 @@ def cmd_fourier(args) -> int:
         "table": table.to_json_dict(),
         "timings": {"table_s": elapsed},
     }
+    diagnostics = source.diagnostics()
+    if diagnostics is not None:
+        report["diagnostics"] = diagnostics
     if args.compare_oracle:
         if decomp.n > args.dense_cap:
             raise ResourceLimitError(
@@ -282,8 +285,10 @@ def cmd_sample(args) -> int:
         decomp = _load_decomposition(config["circuit"])
     mode = config.get("mode", "A")
     num_samples = int(config.get("num_samples", 1000))
+    started = time.perf_counter()
     source = _coefficient_source(decomp, config.get("source", {}), seed,
                                  args.threads, args.dense_cap)
+    source_s = time.perf_counter() - started
     rng = seeding.derive_rng(seed, seeding.LABEL_SAMPLE)
     if mode == "marginal":
         alpha, alpha_how = None, "unused"
@@ -316,6 +321,11 @@ def cmd_sample(args) -> int:
         "alpha_how": alpha_how,
         "report": result.report,
     }
+    # the dense simulation of the exact source runs before the table clock
+    result.report["timings"]["source_s"] = source_s
+    diagnostics = source.diagnostics()
+    if diagnostics is not None:
+        report["diagnostics"] = diagnostics
     if args.verify:
         report["verification"] = _verify_sampling(decomp, config, result,
                                                   args.dense_cap)

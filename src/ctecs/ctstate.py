@@ -6,11 +6,30 @@ Support is deliberately limited to U-blocks of the recognized shape
 families produce); ``CtState`` is the extension point for anything else.
 All amplitude routines are vectorized over (batch, n) uint8 bit arrays,
 which is what the expectation estimator consumes.
+
+Product amplitudes are looked up per 8-qubit chunk: each chunk has a
+table of the products of its qubits' amplitudes for all 256 values, so a
+row costs one lookup and one multiply per chunk.
+
+Diagonal phases are integer exponents.  Every supported diagonal gate is
+a dyadic phase: Z, CZ and CCZ multiply by exp(2 pi i * AND(x_q) / 2), and
+the rotation forms S = Rz(2 pi / 4), T = Rz(2 pi / 8) and Rz(+-2 pi / 2**t)
+multiply by exp(2 pi i * (+-x_q) / 2**t) times the constant
+exp(-+ pi i / 2**t).  With T = max(3, largest t <= 12), the gates are
+compiled once into groups by arity, each holding qubit index arrays and
+integer weights mod 2**T (gates on the same qubits merge), plus one global
+phase constant.  A row's exponent e is one AND of the indexed bit columns
+and one integer dot product per arity, reduced mod 2**T, and its phase
+const * exp(2 pi i e / 2**T) is read from a table of 2**T entries.
+Rotations with t > 12 (``DyadicAngle`` accepts any t >= 1) keep float
+radians per qubit, computed with ``math.ldexp`` so no t overflows, and add
+one float dot product; the table never grows past 2**12 entries.
 """
 
 from __future__ import annotations
 
 import abc
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,23 +54,22 @@ class CtState(abc.ABC):
         """(size, n) uint8 samples drawn from |<x|phi>|**2."""
 
     def amplitude(self, x) -> complex:
-        bits = _coerce_bits(x, self.n)
-        return complex(self.amplitudes(bits))
+        if isinstance(x, str):
+            x = _bits.string_to_bits(x)
+        elif isinstance(x, (int, np.integer)):
+            x = _bits.index_to_bits(np.int64(x), self.n)
+        return complex(self.amplitudes(x))
 
     def sample(self, rng: np.random.Generator) -> str:
         return _bits.bits_to_string(self.sample_bits(rng, 1)[0])
 
 
-def _coerce_bits(x, n: int) -> np.ndarray:
-    if isinstance(x, str):
-        bits = _bits.string_to_bits(x)
-    elif isinstance(x, (int, np.integer)):
-        bits = _bits.index_to_bits(np.int64(x), n)
-    else:
-        bits = np.asarray(x, dtype=np.uint8)
-    if bits.shape[-1] != n:
+def _bit_rows(bits, n: int) -> np.ndarray:
+    """(..., n) uint8 0/1 array of ``bits``; any value above 0 is a 1."""
+    bits = np.asarray(bits)
+    if bits.shape[-1:] != (n,):
         raise ValidationError(f"expected {n} bits, got shape {bits.shape}")
-    return bits
+    return (bits > 0).view(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -71,6 +89,13 @@ class ProductState(CtState):
         norms = np.abs(a) ** 2 + np.abs(b) ** 2
         if np.max(np.abs(norms - 1.0)) > 1e-12:
             raise ValidationError("per-qubit amplitudes must be normalized")
+        tables = []
+        for start in range(0, len(a), 8):
+            width = min(8, len(a) - start)
+            ones = _bits.index_to_bits(np.arange(1 << width), width) > 0
+            qubits = slice(start, start + width)
+            tables.append(np.where(ones, b[qubits], a[qubits]).prod(axis=1))
+        object.__setattr__(self, "_chunk_tables", tables)
 
     @property
     def n(self) -> int:
@@ -86,12 +111,73 @@ class ProductState(CtState):
         return cls(amp, amp.copy())
 
     def amplitudes(self, bits) -> np.ndarray:
-        bits = np.asarray(bits)
-        return np.where(bits > 0, self.amp1, self.amp0).prod(axis=-1)
+        bits = _bit_rows(bits, self.n)
+        out = np.ones(bits.shape[:-1], dtype=complex)
+        for table, value in zip(self._chunk_tables, _bits.chunk_values(bits)):
+            out *= table[value]
+        return out
 
     def sample_bits(self, rng: np.random.Generator, size: int) -> np.ndarray:
         p1 = np.abs(self.amp1) ** 2
         return (rng.random((size, self.n)) < p1).astype(np.uint8)
+
+
+# widest dyadic exponent of the lookup table; finer rotations use float radians
+_TABLE_T_MAX = 12
+
+
+def _dyadic_form(gate: Gate) -> tuple[int, int, bool]:
+    """(sign, t, rotation) with the gate's phase exp(2 pi i sign AND(x)/2**t),
+    times exp(-pi i sign / 2**t) when ``rotation`` (the Rz form)."""
+    kind = gate.kind
+    if kind in ("Z", "CZ", "CCZ"):
+        return 1, 1, False
+    if kind == "S":
+        return 1, 2, True
+    if kind == "T":
+        return 1, 3, True
+    if kind == "RZ":
+        return gate.angle.sign, gate.angle.t, True
+    raise ValidationError(f"unsupported diagonal kind {kind!r}")
+
+
+@dataclass(frozen=True)
+class _PhaseKernel:
+    """Diagonal gates compiled to integer exponent weights mod 2**t."""
+
+    t: int
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]  # (qubit columns, weights)
+    table: np.ndarray  # const * exp(2 pi i e / 2**t) for every e
+    fine: np.ndarray | None  # radians per qubit of rotations with t > _TABLE_T_MAX
+
+    @classmethod
+    def compile(cls, diagonal, n: int) -> "_PhaseKernel":
+        forms = [(gate.qubits, *_dyadic_form(gate)) for gate in diagonal]
+        t = max([3] + [ft for _, _, ft, _ in forms if ft <= _TABLE_T_MAX])
+        weights: dict[tuple[int, ...], int] = {}
+        fine = np.zeros(n)
+        const_units = 0  # global phase in units of 2 pi / 2**(t + 1)
+        const_radians = []
+        for qubits, sign, ft, rotation in forms:
+            if ft > _TABLE_T_MAX:
+                fine[qubits[0]] += math.ldexp(sign * 2 * math.pi, -ft)
+                const_radians.append(math.ldexp(-sign * math.pi, -ft))
+                continue
+            key = tuple(sorted(qubits))
+            weight = sign << (t - ft)
+            weights[key] = (weights.get(key, 0) + weight) % (1 << t)
+            if rotation:
+                const_units -= weight
+        groups = []
+        for arity in (1, 2, 3):
+            keys = [k for k, w in weights.items() if len(k) == arity and w]
+            if keys:
+                groups.append((np.array(keys, dtype=np.intp).T,
+                               np.array([weights[k] for k in keys], dtype=np.uint64)))
+        const = cmath.exp(1j * (math.pi * (const_units % (1 << (t + 1))) / 2 ** t
+                                + math.fsum(const_radians)))
+        table = const * np.exp(2j * math.pi * np.arange(1 << t) / 2 ** t)
+        return cls(t, tuple(groups), table, fine if fine.any() else None)
 
 
 @dataclass(frozen=True)
@@ -112,35 +198,26 @@ class PhaseState(CtState):
                 raise ValidationError(f"{gate.kind} is not diagonal")
             if any(q >= self.base.n for q in gate.qubits):
                 raise ValidationError("diagonal gate outside register")
+        object.__setattr__(
+            self, "_kernel", _PhaseKernel.compile(self.diagonal, self.base.n))
 
     @property
     def n(self) -> int:
         return self.base.n
 
     def phases(self, bits) -> np.ndarray:
-        bits = np.asarray(bits)
-        phase = np.ones(bits.shape[:-1], dtype=complex)
-        for gate in self.diagonal:
-            kind = gate.kind
-            if kind == "Z":
-                phase = phase * np.where(bits[..., gate.qubits[0]] > 0, -1.0, 1.0)
-            elif kind in ("S", "T", "RZ"):
-                theta = {"S": math.pi / 2, "T": math.pi / 4}.get(kind)
-                if theta is None:
-                    theta = gate.angle.radians
-                # Rz(theta)|x> = exp(i theta (x - 1/2)) |x>
-                exps = np.exp(1j * theta * (bits[..., gate.qubits[0]] - 0.5))
-                phase = phase * exps
-            elif kind == "CZ":
-                a, b = gate.qubits
-                both = (bits[..., a] > 0) & (bits[..., b] > 0)
-                phase = phase * np.where(both, -1.0, 1.0)
-            elif kind == "CCZ":
-                a, b, c = gate.qubits
-                allset = (bits[..., a] > 0) & (bits[..., b] > 0) & (bits[..., c] > 0)
-                phase = phase * np.where(allset, -1.0, 1.0)
-            else:
-                raise ValidationError(f"unsupported diagonal kind {kind!r}")
+        bits = _bit_rows(bits, self.n)
+        kernel = self._kernel
+        exponent = np.zeros(bits.shape[:-1], dtype=np.uint64)
+        for qubits, weights in kernel.groups:
+            selected = bits[..., qubits[0]]
+            for column in qubits[1:]:
+                selected = selected & bits[..., column]
+            exponent += np.einsum("...g,g->...", selected, weights)
+        exponent &= np.uint64((1 << kernel.t) - 1)
+        phase = kernel.table[exponent]
+        if kernel.fine is not None:
+            phase = phase * np.exp(1j * (bits @ kernel.fine))
         return phase
 
     def amplitudes(self, bits) -> np.ndarray:

@@ -10,7 +10,9 @@ Each operator implements one column oracle, the batched ``columns_bits``
 that the expectation estimator runs; it may list a row twice, which leaves
 row sums unchanged.  The scalar ``columns(x)`` is derived from it once, on
 ``EcsOperation``: it merges duplicate rows and drops entries at or below
-``COEFF_EPS``.
+``COEFF_EPS``.  A lightcone block lists only the entries of its column
+above ``COEFF_EPS`` (zero-padded to its sparsity), so the width of a
+product is the product of its factors' sparsities.
 """
 
 from __future__ import annotations
@@ -258,26 +260,31 @@ class LocalOperator(EcsOperation):
         object.__setattr__(self, "support", tuple(self.support))
         if sorted(set(self.support)) != list(self.support):
             raise ValidationError("support must be sorted and duplicate-free")
-        dim = 1 << len(self.support)
+        m = len(self.support)
+        dim = 1 << m
         if self.block.shape != (dim, dim):
             raise ValidationError("block shape disagrees with support size")
+        # per block column, the rows above COEFF_EPS in ascending order,
+        # zero-padded to the widest column
+        kept = np.abs(self.block) > COEFF_EPS
+        width = int(kept.sum(axis=0).max())
+        rows = np.argsort(~kept, axis=0, kind="stable")[:width].T  # (dim, width)
+        cols = np.arange(dim)[:, None]
+        values = np.where(kept[rows, cols], self.block[rows, cols], 0.0)
+        object.__setattr__(self, "_column_values", values)
+        object.__setattr__(self, "_column_rows", _bits.index_to_bits(rows, m))
 
     @property
     def sparsity(self) -> int:
-        return max(
-            int(np.count_nonzero(np.abs(self.block[:, c]) > COEFF_EPS))
-            for c in range(self.block.shape[1]))
+        return self._column_values.shape[1]
 
     def columns_bits(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bits = np.asarray(bits, dtype=np.uint8)
-        m = len(self.support)
-        dim = 1 << m
         support = list(self.support)
         cols = _bits.bits_to_index(bits[:, support])
-        betas = self.block[:, cols].T  # (B, dim)
-        row_bits = _bits.index_to_bits(np.arange(dim), m)  # (dim, m)
-        gammas = np.repeat(bits[:, None, :], dim, axis=1)
-        gammas[:, :, support] = row_bits[None, :, :]
+        betas = self._column_values[cols]  # (B, sparsity)
+        gammas = np.repeat(bits[:, None, :], self.sparsity, axis=1)
+        gammas[:, :, support] = self._column_rows[cols]
         return betas, gammas
 
 

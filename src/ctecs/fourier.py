@@ -11,6 +11,10 @@ batch means of size B then satisfies a Chebyshev-plus-Chernoff tail bound:
 with B = ceil(4/tau**2) each batch errs by more than tau with probability
 at most 1/4, and the median errs with probability at most exp(-K/8).
 
+Each batch packs its drawn rows, keeps the distinct ones with their
+counts, and computes the state's amplitudes once per distinct row; the
+only other amplitudes it needs are those of the column oracle's rows.
+
 Two coefficient sources sit behind one interface: the estimator above, and
 a dense exact source so end-to-end tests can separate truncation error
 from estimation error.  Base-2 logarithms throughout.
@@ -224,11 +228,13 @@ class EstimatorStats:
     second_moment: float
     samples: int
     resampled: int
+    distinct_rows: int
 
 
-def _row_functional(state: CtState, op: EcsOperation, rows: np.ndarray) -> np.ndarray:
-    """f on distinct sampled rows: row-x inner product over the column oracle."""
-    amps = state.amplitudes(rows)
+def _row_functional(state: CtState, op: EcsOperation, rows: np.ndarray,
+                    amps: np.ndarray) -> np.ndarray:
+    """f on distinct sampled rows with amplitudes ``amps``: row-x inner
+    product over the column oracle."""
     betas, gammas = op.columns_bits(rows)
     b, width = betas.shape
     gamma_amps = state.amplitudes(gammas.reshape(b * width, state.n))
@@ -238,25 +244,26 @@ def _row_functional(state: CtState, op: EcsOperation, rows: np.ndarray) -> np.nd
 
 def _one_batch(
     state: CtState, op: EcsOperation, size: int, rng: np.random.Generator
-) -> tuple[float, float, int, int]:
+) -> tuple[float, float, int, int, int]:
     bits = state.sample_bits(rng, size)
     resampled = 0
-    for _ in range(64):
-        amps = state.amplitudes(bits)
-        bad = np.abs(amps) == 0.0
-        if not bad.any():
+    for attempt in range(65):
+        packed = _bits.bits_to_index(bits)
+        uniq, counts = np.unique(packed, return_counts=True)
+        rows = _bits.index_to_bits(uniq, state.n)
+        amps = state.amplitudes(rows)
+        zero = np.abs(amps) == 0.0
+        if attempt == 64 or not zero.any():
             break
         # exact Born sampling cannot land on a zero-amplitude string; redraw
-        # rows whose amplitude underflowed and keep count
+        # rows whose amplitude underflowed (at most 64 rounds) and keep count
+        bad = zero[np.searchsorted(uniq, packed)]
         resampled += int(bad.sum())
         bits[bad] = state.sample_bits(rng, int(bad.sum()))
-    packed = _bits.bits_to_index(bits)
-    uniq, counts = np.unique(packed, return_counts=True)
-    rows = _bits.index_to_bits(uniq, state.n)
-    f = _row_functional(state, op, rows).real
+    f = _row_functional(state, op, rows, amps).real
     mean = float((f * counts).sum() / size)
     second = float(((f ** 2) * counts).sum())
-    return mean, second, size, resampled
+    return mean, second, size, resampled, len(uniq)
 
 
 def estimate_expectation_detailed(
@@ -298,6 +305,7 @@ def estimate_expectation_detailed(
         second_moment=second,
         samples=total,
         resampled=resampled,
+        distinct_rows=sum(r[4] for r in results),
     )
 
 
@@ -321,6 +329,10 @@ class CoefficientSource(abc.ABC):
 
     @abc.abstractmethod
     def describe(self) -> dict: ...
+
+    def diagnostics(self) -> dict | None:
+        """Run diagnostics for reports; None when the source has none."""
+        return None
 
 
 class ExactCoefficients(CoefficientSource):
@@ -358,15 +370,34 @@ class EstimatedCoefficients(CoefficientSource):
         self.term_cap = term_cap
         self.max_workers = max_workers
         self._state = ct_state_of(decomp.u_block)
+        self._diagnostics = {
+            "masks": 0, "rows_drawn": 0, "distinct_rows": 0, "rows_resampled": 0,
+            "second_moment_max": 0.0, "batch_mean_spread_max": 0.0}
 
     def expectation(self, mask: int, rng: np.random.Generator) -> float:
         op = ecs_for(self.decomp, mask, support_cap=self.support_cap,
                      term_cap=self.term_cap)
-        return estimate_expectation_detailed(
-            self._state, op, self.cfg, rng, max_workers=self.max_workers).value
+        stats = estimate_expectation_detailed(
+            self._state, op, self.cfg, rng, max_workers=self.max_workers)
+        diag = self._diagnostics
+        diag["masks"] += 1
+        diag["rows_drawn"] += stats.samples
+        diag["distinct_rows"] += stats.distinct_rows
+        diag["rows_resampled"] += stats.resampled
+        diag["second_moment_max"] = max(diag["second_moment_max"],
+                                        stats.second_moment)
+        spread = float(stats.batch_means.max() - stats.batch_means.min())
+        diag["batch_mean_spread_max"] = max(diag["batch_mean_spread_max"], spread)
+        return stats.value
 
     def describe(self) -> dict:
         return {"type": "estimator", "config": self.cfg.to_json_dict()}
+
+    def diagnostics(self) -> dict:
+        """Estimator aggregates over every mask estimated so far: rows drawn,
+        distinct rows, underflow resamples, the largest empirical second
+        moment and the widest spread (max - min) of one mask's batch means."""
+        return {"estimator": dict(self._diagnostics)}
 
 
 def build_low_degree_table(

@@ -250,3 +250,53 @@ def test_report_summarizes_alpha_over_exact_batch(tmp_path, capsys):
     summary = json.loads(out)["alpha_summary"]
     assert summary["count"] == 4
     assert 1.0 <= summary["mean"] <= 2 ** 5 + 1e-9
+
+
+def test_sample_report_times_the_source(tmp_path, capsys):
+    instance = _write_instance(tmp_path, capsys, n=6, seed=2)
+    config = {
+        "circuit": str(instance), "mode": "A", "alpha": {"assume": 2.0},
+        "delta": 0.5, "lambda": 0.3, "source": {"type": "exact"},
+        "num_samples": 20, "seed": 4,
+    }
+    config_file = tmp_path / "cfg.json"
+    config_file.write_text(json.dumps(config))
+    code, out = run_cli(capsys, "sample", "--config", str(config_file))
+    assert code == EXIT_OK
+    report = json.loads(out)
+    timings = report["report"]["timings"]
+    assert timings["source_s"] >= 0.0
+    assert set(timings) == {"source_s", "table_s", "sampling_s"}
+    assert "diagnostics" not in report
+
+
+def _check_estimator_diagnostics(diagnostics, masks):
+    est = diagnostics["estimator"]
+    assert est["masks"] == masks
+    assert 0 < est["distinct_rows"] <= est["rows_drawn"]
+    assert est["rows_resampled"] == 0
+    assert 0.0 < est["second_moment_max"] <= 1.0 + 1e-9
+    assert est["batch_mean_spread_max"] >= 0.0
+
+
+def test_estimator_reports_carry_diagnostics(tmp_path, capsys):
+    instance = _write_instance(tmp_path, capsys, n=5, seed=3)
+    code, out = run_cli(
+        capsys, "fourier", "--circuit", str(instance), "--c", "2",
+        "--source", "estimator", "--batch-size", "200", "--batch-count", "3")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    _check_estimator_diagnostics(report["diagnostics"], masks=5 + 10)
+    assert report["diagnostics"]["estimator"]["rows_drawn"] == 15 * 3 * 200
+
+    config = {
+        "circuit": str(instance), "mode": "A", "alpha": {"assume": 2.0},
+        "delta": 0.5, "lambda": 0.3, "c_max": 2, "num_samples": 20, "seed": 4,
+        "source": {"type": "estimator", "batch_size": 100, "batch_count": 3},
+    }
+    config_file = tmp_path / "cfg.json"
+    config_file.write_text(json.dumps(config))
+    code, out = run_cli(capsys, "sample", "--config", str(config_file))
+    assert code == EXIT_OK
+    report = json.loads(out)
+    _check_estimator_diagnostics(report["diagnostics"], masks=5 + 10)

@@ -137,3 +137,101 @@ def test_ct_state_of_random_family_u_blocks_match_dense():
 def test_ct_state_of_rejects_entangling_prefix():
     with pytest.raises(ValidationError):
         ct_state_of(Circuit(2, (cz(0, 1), h(0))))
+
+
+# --- phase kernel and product tables against per-gate references ---------------------
+
+def _reference_phases(diagonal, bits):
+    """Per-gate complex product, Rz(theta)|x> = exp(i theta (x - 1/2))|x>."""
+    phase = np.ones(bits.shape[:-1], dtype=complex)
+    for gate in diagonal:
+        on = np.all(bits[..., list(gate.qubits)] > 0, axis=-1)
+        if gate.kind in ("Z", "CZ", "CCZ"):
+            phase = phase * np.where(on, -1.0, 1.0)
+            continue
+        if gate.kind == "S":
+            theta = np.pi / 2
+        elif gate.kind == "T":
+            theta = np.pi / 4
+        else:
+            theta = np.ldexp(gate.angle.sign * 2 * np.pi, -gate.angle.t)
+        phase = phase * np.exp(1j * theta * (on - 0.5))
+    return phase
+
+
+def _random_rows(rng, count, n):
+    return (rng.random((count, n)) < 0.5).astype(np.uint8)
+
+
+def test_phases_match_per_gate_reference_for_every_kind():
+    rng = np.random.default_rng(11)
+    n = 6
+    gates = [z(0), s(1), t(2), cz(3, 4), ccz(0, 2, 5), rz(5, 1, 70)]
+    for exponent in range(1, 9):
+        for sign in (1, -1):
+            gates.append(rz(int(rng.integers(n)), sign, exponent))
+    bits = _random_rows(rng, 500, n)
+    for gate in gates:
+        state = PhaseState(ProductState.plus(n), (gate,))
+        np.testing.assert_allclose(
+            state.phases(bits), _reference_phases((gate,), bits), atol=1e-12)
+    state = PhaseState(ProductState.plus(n), gates)
+    np.testing.assert_allclose(
+        state.phases(bits), _reference_phases(gates, bits), atol=1e-12)
+    # a t = 70 rotation is below float resolution next to 1, so its sign
+    # shows only in the imaginary part
+    tiny = (rz(5, -1, 70),)
+    np.testing.assert_allclose(
+        PhaseState(ProductState.plus(n), tiny).phases(bits).imag,
+        _reference_phases(tiny, bits).imag, rtol=1e-9)
+
+
+def test_phases_match_reference_on_a_500_gate_mix():
+    # rotations with 12 < t <= 20 take the float route beside the lookup table
+    rng = np.random.default_rng(12)
+    n = 10
+    makers = [
+        lambda q: z(q[0]), lambda q: s(q[0]), lambda q: t(q[0]),
+        lambda q: cz(q[0], q[1]), lambda q: ccz(q[0], q[1], q[2]),
+        lambda q: rz(q[0], int(rng.choice([-1, 1])), int(rng.integers(1, 21))),
+    ]
+    gates = [makers[rng.integers(len(makers))](rng.permutation(n)[:3])
+             for _ in range(500)]
+    state = PhaseState(ProductState.plus(n), gates)
+    bits = _random_rows(rng, 2000, n)
+    np.testing.assert_allclose(
+        state.phases(bits), _reference_phases(gates, bits), atol=1e-12)
+    # leading batch dimensions are kept
+    np.testing.assert_allclose(
+        state.phases(bits.reshape(40, 50, n)),
+        _reference_phases(gates, bits).reshape(40, 50), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17])
+def test_product_amplitudes_across_byte_boundaries(n):
+    rng = np.random.default_rng(n)
+    angles = rng.uniform(0, 2 * np.pi, n)
+    amp0 = np.cos(angles)
+    amp1 = np.sin(angles) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    state = ProductState(amp0, amp1)
+    bits = _random_rows(rng, 300, n)
+    want = np.array([
+        np.prod([amp1[j] if row[j] else amp0[j] for j in range(n)])
+        for row in bits])
+    np.testing.assert_allclose(state.amplitudes(bits), want, atol=1e-12)
+    np.testing.assert_allclose(
+        state.amplitudes(bits.reshape(3, 100, n)), want.reshape(3, 100),
+        atol=1e-12)
+
+
+def test_amplitudes_reject_wrong_width_and_read_nonzero_as_one():
+    rng = np.random.default_rng(13)
+    state = PhaseState(ProductState.plus(8), (t(0), cz(1, 7), rz(3, -1, 5)))
+    for width in (7, 12):
+        with pytest.raises(ValidationError):
+            state.base.amplitudes(np.zeros((4, width), dtype=np.uint8))
+        with pytest.raises(ValidationError):
+            state.phases(np.zeros((4, width), dtype=np.uint8))
+    bits = _random_rows(rng, 50, 8)
+    scaled = bits * rng.integers(1, 5, bits.shape)
+    np.testing.assert_array_equal(state.amplitudes(scaled), state.amplitudes(bits))

@@ -344,3 +344,65 @@ def test_batch_columns_agree_with_scalar():
             assert set(merged) == set(want)
             for row, val in want.items():
                 assert merged[row] == pytest.approx(val, abs=1e-12)
+
+
+# --- sparse lightcone columns and bit packing ---------------------------------------
+
+def _embedded_block(op):
+    """Dense matrix of a LocalOperator: its block on the support, identity
+    elsewhere, built entry by entry from bit positions."""
+    n, support = op.n, list(op.support)
+    rest = [q for q in range(n) if q not in support]
+    bits = _bits.index_to_bits(np.arange(1 << n), n)
+    local = _bits.bits_to_index(bits[:, support])
+    same_rest = np.all(bits[:, None, rest] == bits[None, :, rest], axis=-1)
+    return np.where(same_rest, op.block[local[:, None], local[None, :]], 0.0)
+
+
+def test_local_operator_columns_are_sparse_and_exact():
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        decomp = random_family_instance(CONSTANT_DEPTH, 7, rng, depth=3)
+        for j in range(7):
+            op = local_z_operator(decomp.v_block, j)
+            dense_width = int(np.max(
+                np.count_nonzero(np.abs(op.block) > 1e-12, axis=0)))
+            xs = _bits.index_to_bits(rng.integers(0, 1 << 7, 20), 7)
+            betas, gammas = op.columns_bits(xs)
+            assert betas.shape == (20, op.sparsity)
+            assert gammas.shape == (20, op.sparsity, 7)
+            assert op.sparsity == dense_width <= 1 << len(op.support)
+            np.testing.assert_allclose(
+                dense_from_columns(op), _embedded_block(op), atol=1e-12)
+
+
+def test_product_width_is_product_of_factor_sparsities():
+    rng = np.random.default_rng(21)
+    decomp = random_family_instance(CONSTANT_DEPTH, 7, rng, depth=3)
+    for mask in (0b1100000, 0b0101010, 0b1000011):
+        op = ecs_for(decomp, mask)
+        assert isinstance(op, EcsProduct)
+        betas, gammas = op.columns_bits(
+            _bits.index_to_bits(rng.integers(0, 1 << 7, 5), 7))
+        widths = [f.sparsity for f in op.factors]
+        assert betas.shape[1] == gammas.shape[1] == int(np.prod(widths))
+        assert op.sparsity == int(np.prod(widths))
+
+
+@pytest.mark.parametrize("n", [1, 12, 62])
+def test_bits_to_index_round_trips(n):
+    rng = np.random.default_rng(n)
+    for shape in [(), (9,), (4, 5)]:
+        index = rng.integers(0, 1 << n, size=shape, dtype=np.int64)
+        bits = _bits.index_to_bits(index, n)
+        assert bits.shape == shape + (n,)
+        packed = _bits.bits_to_index(bits)
+        assert np.shape(packed) == shape
+        np.testing.assert_array_equal(packed, index)
+    top = np.int64((1 << n) - 1)
+    assert _bits.bits_to_index(_bits.index_to_bits(top, n)) == top
+
+
+def test_bits_to_index_rejects_wide_rows():
+    with pytest.raises(ValueError, match="at most"):
+        _bits.bits_to_index(np.zeros((2, _bits.MAX_PACKED_BITS + 1), np.uint8))

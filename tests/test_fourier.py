@@ -11,6 +11,7 @@ from ctecs import (
     EstimatorConfig,
     FourierTable,
     IQP,
+    PhaseState,
     ProductState,
     ResourceLimitError,
     SignedPauli,
@@ -26,10 +27,12 @@ from ctecs import (
     validate_lambda,
 )
 from ctecs import oracle
-from ctecs.circuits import h
+from ctecs.circuits import (
+    DyadicAngle, build_conjugated_clifford, h, random_clifford_gates)
 from ctecs.fourier import (
     EstimatedCoefficients,
     ExactCoefficients,
+    _one_batch,
     estimate_expectation_detailed,
     theory_accuracy_denominator,
     uniform_table,
@@ -376,3 +379,31 @@ def test_identity_check_random_iqp():
         for mask in range(64)
         for lhs, rhs in [exact_fourier_identity_check(decomp.circuit, mask)])
     assert worst <= 1e-10
+
+
+class _CountingState(PhaseState):
+    """PhaseState that records how many rows each amplitudes call receives."""
+
+    def __init__(self, state):
+        super().__init__(state.base, state.diagonal)
+        object.__setattr__(self, "calls", [])
+
+    def amplitudes(self, bits):
+        self.calls.append(int(np.prod(np.shape(bits)[:-1])))
+        return super().amplitudes(bits)
+
+
+def test_one_batch_computes_each_amplitude_once():
+    # pi/4 rotations make each conjugated Z a three-term Pauli combination
+    decomp = build_conjugated_clifford(
+        6, DyadicAngle(1, 3), DyadicAngle(-1, 3),
+        random_clifford_gates(np.random.default_rng(3), 6, 18))
+    state = _CountingState(ct_state_of(decomp.u_block))
+    op = ecs_for(decomp, 0b100100)
+    width = op.columns_bits(np.zeros((1, 6), dtype=np.uint8))[0].shape[1]
+    assert width > 1
+    drawn = state.sample_bits(np.random.default_rng(8), 500)
+    distinct = len(np.unique(drawn, axis=0))
+    _one_batch(state, op, 500, np.random.default_rng(8))
+    assert state.calls == [distinct, distinct * width]
+    assert sum(state.calls) < 500 + distinct
