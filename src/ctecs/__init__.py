@@ -47,7 +47,6 @@ from .fourier import (
     build_low_degree_table,
     choose_degree,
     estimate_expectation,
-    exact_fourier_identity_check,
     validate_lambda,
 )
 from .noise import NoiseSpec, noise_operator_apply
@@ -56,7 +55,6 @@ from .oracle import (
     anti_concentration_alpha,
     apply_depolarizing_exact,
     empirical_distribution,
-    expectation_exact,
     fourier_transform,
     inverse_fourier,
     l1_distance,

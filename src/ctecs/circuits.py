@@ -40,6 +40,20 @@ PAULI_CONJUGATION_KINDS = CLIFFORD_KINDS | {"X", "Y", "Z"}
 GATE_SET_KINDS = frozenset({"RX", "RZ", "S", "T", "CZ"})
 
 
+def _json_field(d, key: str, convert, what: str):
+    """``convert(d[key])`` for the JSON object ``d`` that describes ``what``;
+    a non-object, a missing key or a value ``convert`` rejects is a
+    ValidationError."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {type(d).__name__}")
+    if key not in d:
+        raise ValidationError(f"{what} lacks {key!r}")
+    try:
+        return convert(d[key])
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} has an invalid {key!r}: {d[key]!r}") from None
+
+
 @dataclass(frozen=True)
 class DyadicAngle:
     """Rotation parameter theta = sign * 2*pi / 2**t with integer t >= 1."""
@@ -55,7 +69,7 @@ class DyadicAngle:
 
     @property
     def radians(self) -> float:
-        return self.sign * 2.0 * math.pi / (1 << self.t)
+        return math.ldexp(self.sign * 2.0 * math.pi, -self.t)
 
     def inverse(self) -> "DyadicAngle":
         return DyadicAngle(-self.sign, self.t)
@@ -65,7 +79,8 @@ class DyadicAngle:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DyadicAngle":
-        return cls(int(d["sign"]), int(d["t"]))
+        return cls(_json_field(d, "sign", int, "an angle"),
+                   _json_field(d, "t", int, "an angle"))
 
 
 @dataclass(frozen=True)
@@ -171,7 +186,8 @@ class Circuit:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Circuit":
-        return cls(int(d["n"]), tuple(_gate_from_json(g) for g in d.get("gates", [])))
+        return cls(_json_field(d, "n", int, "a circuit"),
+                   tuple(_gate_from_json(g) for g in d.get("gates", [])))
 
 
 def _gate_to_json(gate: Gate) -> dict:
@@ -183,11 +199,10 @@ def _gate_to_json(gate: Gate) -> dict:
 
 
 def _gate_from_json(d: dict) -> Gate:
-    kind = d["g"]
-    angle = None
-    if kind in ROTATION_KINDS:
-        angle = DyadicAngle(int(d["sign"]), int(d["t"]))
-    return Gate(kind, tuple(d["q"]), angle)
+    kind = _json_field(d, "g", str, "a gate")
+    angle = DyadicAngle.from_json_dict(d) if kind in ROTATION_KINDS else None
+    qubits = _json_field(d, "q", lambda qs: tuple(int(q) for q in qs), "a gate")
+    return Gate(kind, qubits, angle)
 
 
 # --- dense gate matrices ----------------------------------------------------
@@ -602,8 +617,8 @@ def decomposition_to_json_dict(decomp: CtEcsDecomposition) -> dict:
 
 
 def decomposition_from_json_dict(d: dict) -> CtEcsDecomposition:
-    family = d["family"]
-    n = int(d["n"])
+    family = _json_field(d, "family", str, "a family file")
+    n = _json_field(d, "n", int, "a family file")
     if family == IQP:
         return build_iqp(n, [_gate_from_json(g) for g in d.get("diagonal", [])])
     if family == CLIFFORD_MAGIC:
@@ -617,5 +632,6 @@ def decomposition_from_json_dict(d: dict) -> CtEcsDecomposition:
         )
     if family == CONSTANT_DEPTH:
         circuit = Circuit(n, tuple(_gate_from_json(g) for g in d.get("gates", [])))
-        return build_constant_depth(circuit, int(d["depth_bound"]))
+        return build_constant_depth(
+            circuit, _json_field(d, "depth_bound", int, "a family file"))
     raise ValidationError(f"unknown family {family!r}")

@@ -12,6 +12,7 @@ exceeded, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -21,26 +22,24 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _bits, oracle, seeding
+from . import oracle, seeding
+from .checks import SUITES
 from .circuits import (
     FAMILIES,
-    IQP,
     Circuit,
     CtEcsDecomposition,
     decomposition_from_json_dict,
     decomposition_to_json_dict,
     random_family_instance,
 )
-from .ecs import dense_from_columns, ecs_for
 from .errors import ResourceLimitError, ValidationError
 from .fourier import (
     EstimatedCoefficients,
     EstimatorConfig,
     ExactCoefficients,
     build_low_degree_table,
-    exact_fourier_identity_check,
 )
-from .noise import NoiseSpec, flip_convolve, noise_operator_apply
+from .noise import NoiseSpec, flip_convolve
 from .sampler import (
     ModelBPlan,
     enumerate_alg_distribution,
@@ -91,19 +90,36 @@ def _emit(report: dict, out: str | None) -> None:
         print(text)
 
 
-def _load_decomposition(path: str) -> CtEcsDecomposition:
+def _read_json(path: str):
     with open(path) as handle:
-        data = json.load(handle)
-    if "family" not in data:
+        try:
+            return json.load(handle)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValidationError(f"{path} is not a JSON file: {exc}") from None
+
+
+def _number(config: dict, key: str, kind=float, default=None):
+    """``kind`` of the config value at ``key`` (``default`` when absent);
+    a value that is not a number is a usage error."""
+    value = config.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"config {key!r} must be a number, got {value!r}") from None
+
+
+def _load_decomposition(path: str) -> CtEcsDecomposition:
+    data = _read_json(path)
+    if isinstance(data, dict) and "family" not in data:
         raise ValidationError(
             f"{path} is a plain circuit file; this command needs a family file")
     return decomposition_from_json_dict(data)
 
 
 def _load_circuit(path: str) -> Circuit:
-    with open(path) as handle:
-        data = json.load(handle)
-    if "family" in data:
+    data = _read_json(path)
+    if isinstance(data, dict) and "family" in data:
         return decomposition_from_json_dict(data).circuit
     return Circuit.from_json_dict(data)
 
@@ -143,7 +159,12 @@ def cmd_gen(args) -> int:
 def _noise_from_args(args) -> NoiseSpec | None:
     if args.epsilon is None:
         return None
-    rates = [float(tok) for tok in str(args.epsilon).split(",")]
+    try:
+        rates = [float(tok) for tok in str(args.epsilon).split(",")]
+    except ValueError:
+        raise ValidationError(
+            f"--epsilon takes a rate or comma-separated rates, got {args.epsilon!r}"
+        ) from None
     if len(rates) == 1:
         return NoiseSpec.uniform(rates[0])
     return NoiseSpec.per_qubit(rates)
@@ -189,11 +210,11 @@ def _coefficient_source(decomp, spec: dict, seed: int, threads: int, dense_cap: 
         raise ValidationError(
             f"unknown source type {kind!r}; choose 'exact' or 'estimator'")
     if spec.get("tau") is not None:
-        cfg = EstimatorConfig.from_accuracy(spec["tau"], spec.get("eta", 0.05),
-                                            seed=seed)
+        cfg = EstimatorConfig.from_accuracy(
+            _number(spec, "tau"), _number(spec, "eta", float, 0.05), seed=seed)
     else:
-        cfg = EstimatorConfig(batch_size=int(spec.get("batch_size", 10_000)),
-                              batch_count=int(spec.get("batch_count", 9)),
+        cfg = EstimatorConfig(batch_size=_number(spec, "batch_size", int, 10_000),
+                              batch_count=_number(spec, "batch_count", int, 9),
                               seed=seed)
     return EstimatedCoefficients(decomp, cfg, max_workers=threads)
 
@@ -228,7 +249,8 @@ def cmd_fourier(args) -> int:
         if decomp.n > args.dense_cap:
             raise ResourceLimitError(
                 f"oracle comparison needs n <= {args.dense_cap}")
-        exact = ExactCoefficients(decomp, dense_cap=args.dense_cap)
+        exact = (source if isinstance(source, ExactCoefficients)
+                 else ExactCoefficients(decomp, dense_cap=args.dense_cap))
         scale = 0.5 ** decomp.n
         errs = [
             abs(v - exact.expectation(int(m), rng) * scale)
@@ -244,11 +266,19 @@ def cmd_fourier(args) -> int:
 
 # --- sample ----------------------------------------------------------------------
 
-def _resolve_alpha(spec, decomp, dense_cap: int) -> tuple[float, str]:
+def _dense_once(decomp, source, dense_cap: int):
+    """The circuit's dense output distribution on demand: the exact
+    source's own, or one simulation on the first call."""
+    if isinstance(source, ExactCoefficients):
+        return lambda: source.distribution
+    return functools.cache(
+        lambda: oracle.output_distribution(decomp.circuit, dense_cap=dense_cap))
+
+
+def _resolve_alpha(spec, dense) -> tuple[float, str]:
     if isinstance(spec, dict) and "assume" in spec:
-        return float(spec["assume"]), "assumed"
-    p = oracle.output_distribution(decomp.circuit, dense_cap=dense_cap)
-    return oracle.anti_concentration_alpha(p), "measured"
+        return _number(spec, "assume"), "assumed"
+    return oracle.anti_concentration_alpha(dense()), "measured"
 
 
 _REQUIRED_KEYS = {
@@ -275,20 +305,20 @@ def _check_sample_config(config) -> None:
 
 
 def cmd_sample(args) -> int:
-    with open(args.config) as handle:
-        config = json.load(handle)
+    config = _read_json(args.config)
     _check_sample_config(config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = args.seed if args.seed is not None else _number(config, "seed", int, 0)
     if "instance" in config:
         decomp = decomposition_from_json_dict(config["instance"])
     else:
         decomp = _load_decomposition(config["circuit"])
     mode = config.get("mode", "A")
-    num_samples = int(config.get("num_samples", 1000))
+    num_samples = _number(config, "num_samples", int, 1000)
     started = time.perf_counter()
     source = _coefficient_source(decomp, config.get("source", {}), seed,
                                  args.threads, args.dense_cap)
     source_s = time.perf_counter() - started
+    dense = _dense_once(decomp, source, args.dense_cap)
     rng = seeding.derive_rng(seed, seeding.LABEL_SAMPLE)
     if mode == "marginal":
         alpha, alpha_how = None, "unused"
@@ -296,20 +326,20 @@ def cmd_sample(args) -> int:
             decomp, config["measured"], source, rng, num_samples)
     else:
         alpha, alpha_how = _resolve_alpha(
-            config.get("alpha", {"measure": True}), decomp, args.dense_cap)
-        limits = {"c_max": int(config.get("c_max", 4)),
+            config.get("alpha", {"measure": True}), dense)
+        limits = {"c_max": _number(config, "c_max", int, 4),
                   "mask_budget": config.get("mask_budget")}
         eps = config.get("epsilon")
         if mode == "A":
             result = simulate_model_a(
-                decomp, alpha, float(config["delta"]), float(config["lambda"]),
+                decomp, alpha, _number(config, "delta"), _number(config, "lambda"),
                 source, rng, num_samples, true_epsilon=eps, **limits)
         else:
             by_qubit = {int(j): float(v)
                         for j, v in config.get("lambda_by_qubit", {}).items()}
-            plan = ModelBPlan(float(config["lambda_min"]), tuple(by_qubit.items()))
+            plan = ModelBPlan(_number(config, "lambda_min"), tuple(by_qubit.items()))
             result = simulate_model_b(
-                decomp, alpha, float(config["delta"]), plan, source, rng,
+                decomp, alpha, _number(config, "delta"), plan, source, rng,
                 num_samples, **limits,
                 true_epsilon_min=min(eps) if isinstance(eps, list) else eps)
     report = {
@@ -327,7 +357,7 @@ def cmd_sample(args) -> int:
     if diagnostics is not None:
         report["diagnostics"] = diagnostics
     if args.verify:
-        report["verification"] = _verify_sampling(decomp, config, result,
+        report["verification"] = _verify_sampling(decomp, config, result, dense,
                                                   args.dense_cap)
     if args.samples_out:
         _write_atomic(Path(args.samples_out),
@@ -339,7 +369,7 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _verify_sampling(decomp, config: dict, result, dense_cap: int) -> dict:
+def _verify_sampling(decomp, config: dict, result, dense, dense_cap: int) -> dict:
     """Compare the run against the dense oracle (small n only)."""
     mode = config.get("mode", "A")
     eps = config.get("epsilon")
@@ -347,7 +377,7 @@ def _verify_sampling(decomp, config: dict, result, dense_cap: int) -> dict:
         return {"note": "no true epsilon in config; oracle comparison skipped"}
     if decomp.n > dense_cap:
         raise ResourceLimitError(f"verification needs n <= {dense_cap}")
-    p = oracle.output_distribution(decomp.circuit, dense_cap=dense_cap)
+    p = dense()
     alg = enumerate_alg_distribution(result.table)
     if mode == "marginal":
         target = oracle.marginal_distribution(p, config["measured"])
@@ -370,147 +400,16 @@ def _verify_sampling(decomp, config: dict, result, dense_cap: int) -> dict:
 
 # --- verify ----------------------------------------------------------------------
 
-def _suite_fourier_identity(seed: int, dense_cap: int) -> dict:
-    checks = []
-    for family in FAMILIES:
-        for n in (2, 3, 4, 5):
-            for i in range(3):
-                rng = seeding.derive_rng(seed, seeding.LABEL_VERIFY, n, i)
-                decomp = random_family_instance(family, n, rng)
-                worst = 0.0
-                for mask in range(1 << n):
-                    lhs, rhs = exact_fourier_identity_check(decomp.circuit, mask)
-                    worst = max(worst, abs(lhs - rhs))
-                checks.append({
-                    "name": f"{family}/n={n}/instance={i}",
-                    "max_abs_difference": worst,
-                    "ok": worst <= 1e-10,
-                })
-    return _suite_report("fourier-identity", checks)
-
-
-def _suite_noise_algebra(seed: int, dense_cap: int) -> dict:
-    rng = seeding.derive_rng(seed, seeding.LABEL_VERIFY)
-    checks = []
-    for trial in range(20):
-        n = int(rng.integers(1, 9))
-        p = rng.random(1 << n)
-        p /= p.sum()
-        spec = NoiseSpec.per_qubit(rng.uniform(0.05, 0.95, n))
-        # internal dual-route self-check raises on disagreement
-        oracle.apply_depolarizing_exact(p, spec, n=n)
-        f = rng.standard_normal(1 << n)
-        j = int(rng.integers(n))
-        delta = float(rng.uniform(0.0, 1.0))
-        contracted = noise_operator_apply(f, j, delta, n)
-        ok = np.abs(contracted).sum() <= np.abs(f).sum() + 1e-12
-        checks.append({"name": f"trial={trial}/n={n}", "ok": bool(ok)})
-    return _suite_report("noise-algebra", checks)
-
-
-def _suite_noise_factorization(seed: int, dense_cap: int) -> dict:
-    rng = seeding.derive_rng(seed, seeding.LABEL_VERIFY)
-    checks = []
-    for trial in range(30):
-        n = int(rng.integers(1, 9))
-        p = rng.random(1 << n)
-        p /= p.sum()
-        rates = rng.uniform(0.05, 0.95, n)
-        lhs, rhs = oracle.model_b_factorization_check(p, rates)
-        err = float(np.abs(lhs - rhs).sum())
-        checks.append({"name": f"trial={trial}/n={n}", "l1": err,
-                       "ok": err <= 1e-9})
-    return _suite_report("noise-factorization", checks)
-
-
-def _suite_ecs(seed: int, dense_cap: int) -> dict:
-    checks = []
-    for family in FAMILIES:
-        for i in range(3):
-            rng = seeding.derive_rng(seed, seeding.LABEL_VERIFY, i)
-            n = int(rng.integers(2, 6))
-            decomp = random_family_instance(family, n, rng)
-            v_dense = oracle.circuit_unitary(decomp.v_block)
-            worst = 0.0
-            for mask in range(1, 1 << n):
-                if _bits.mask_weight(mask) > 3:
-                    continue
-                op = ecs_for(decomp, mask)
-                zs = np.diag([
-                    (-1.0) ** _bits.mask_weight(mask & ix)
-                    for ix in range(1 << n)]).astype(complex)
-                target = v_dense.conj().T @ zs @ v_dense
-                got = dense_from_columns(op)
-                worst = max(worst, float(np.max(np.abs(got - target))))
-                sq = got @ got
-                worst = max(worst, float(np.max(np.abs(sq - np.eye(1 << n)))))
-            checks.append({"name": f"{family}/instance={i}/n={n}",
-                           "max_abs_error": worst, "ok": worst <= 1e-9})
-    return _suite_report("ecs", checks)
-
-
-def _suite_sampler_fix(seed: int, dense_cap: int) -> dict:
-    from .fourier import FourierTable
-
-    rng = seeding.derive_rng(seed, seeding.LABEL_VERIFY)
-    checks = []
-    for trial in range(25):
-        n = int(rng.integers(1, 9))
-        c = int(rng.integers(0, n + 1))
-        entries = {0: 0.5 ** n}
-        for mask in _bits.masks_up_to_weight(n, c):
-            if mask and rng.random() < 0.5:
-                entries[mask] = float(rng.normal(scale=0.5 ** n))
-        table = FourierTable(n, c, entries)
-        q = table.dense_values()
-        alg = enumerate_alg_distribution(table).p
-        gap = abs(np.abs(q - alg).sum() - 2.0 * (-q[q < 0].sum()))
-        checks.append({"name": f"trial={trial}/n={n}", "identity_gap": float(gap),
-                       "ok": gap <= 1e-9})
-    return _suite_report("sampler-fix", checks)
-
-
-def _suite_iqp_input_noise(seed: int, dense_cap: int) -> dict:
-    checks = []
-    for i in range(6):
-        rng = seeding.derive_rng(seed, seeding.LABEL_VERIFY, i)
-        n = int(rng.integers(2, 7))
-        decomp = random_family_instance(IQP, n, rng)
-        p = oracle.output_distribution(decomp.circuit)
-        eps = rng.uniform(0.05, 0.95, n) if i % 2 else np.full(n, float(rng.uniform(0.05, 0.95)))
-        via_input = oracle.noisy_input_distribution_iqp(decomp, eps)
-        via_output = oracle.apply_depolarizing_exact(p, NoiseSpec.per_qubit(eps), n=n)
-        err = oracle.l1_distance(via_input, via_output)
-        checks.append({"name": f"instance={i}/n={n}", "l1": err,
-                       "ok": err <= 1e-10})
-    return _suite_report("iqp-input-noise", checks)
-
-
-_SUITES = {
-    "fourier-identity": _suite_fourier_identity,
-    "noise-algebra": _suite_noise_algebra,
-    "noise-factorization": _suite_noise_factorization,
-    "ecs": _suite_ecs,
-    "sampler-fix": _suite_sampler_fix,
-    "iqp-input-noise": _suite_iqp_input_noise,
-}
-
-
-def _suite_report(name: str, checks: list[dict]) -> dict:
-    return {"suite": name, "ok": all(c["ok"] for c in checks), "checks": checks}
-
-
 def cmd_verify(args) -> int:
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
-    for name in names:
-        if name not in _SUITES:
-            raise ValidationError(
-                f"unknown suite {name!r}; choose from {sorted(_SUITES)} or 'all'")
+    if args.suite != "all" and args.suite not in SUITES:
+        raise ValidationError(
+            f"unknown suite {args.suite!r}; choose from {sorted(SUITES)} or 'all'")
     results = []
-    for name in names:
-        result = _SUITES[name](args.seed, args.dense_cap)
-        results.append(result)
-        for check in result["checks"]:
+    for name in list(SUITES) if args.suite == "all" else [args.suite]:
+        checks = SUITES[name](args.seed)
+        results.append({"suite": name, "ok": all(c["ok"] for c in checks),
+                        "checks": checks})
+        for check in checks:
             status = "pass" if check["ok"] else "FAIL"
             print(f"[{status}] {name}: {check['name']}", file=sys.stderr)
     report = {
@@ -530,8 +429,9 @@ def cmd_report(args) -> int:
     rows = []
     alphas = []
     for path in args.files:
-        with open(path) as handle:
-            data = json.load(handle)
+        data = _read_json(path)
+        if not isinstance(data, dict):
+            raise ValidationError(f"{path} is not a ctecs report")
         row = {"file": path, "command": data.get("command")}
         if data.get("command") == "exact":
             row["n"] = data.get("n")
@@ -622,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[common], help="run an invariant suite")
     p_verify.add_argument("--suite", required=True,
-                          help=f"one of {sorted(_SUITES)} or 'all'")
+                          help=f"one of {sorted(SUITES)} or 'all'")
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
 

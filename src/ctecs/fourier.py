@@ -336,12 +336,14 @@ class CoefficientSource(abc.ABC):
 
 
 class ExactCoefficients(CoefficientSource):
-    """Dense route: one state-vector simulation and Walsh transform."""
+    """Dense route: one state-vector simulation, kept as ``distribution``,
+    and its Walsh transform."""
 
     def __init__(self, decomp: CtEcsDecomposition, *, dense_cap: int = oracle.DENSE_CAP):
         self.decomp = decomp
-        p = oracle.output_distribution(decomp.circuit, dense_cap=dense_cap)
-        self._expectations = oracle.walsh_hadamard(p.p)
+        self.distribution = oracle.output_distribution(decomp.circuit,
+                                                       dense_cap=dense_cap)
+        self._expectations = oracle.walsh_hadamard(self.distribution.p)
 
     def expectation(self, mask: int, rng: np.random.Generator) -> float:
         return float(self._expectations[mask])
@@ -430,25 +432,3 @@ def build_low_degree_table(
         entries[mask] = source.expectation(mask, stream) * scale
     return FourierTable(n, c, entries)
 
-
-# --- dual-route identity check --------------------------------------------------------
-
-def exact_fourier_identity_check(
-    circuit, mask: int, *, unitary_cap: int = oracle.UNITARY_CAP
-) -> tuple[float, float]:
-    """Both sides of p_hat(s) = <0|C^dag Z^s C|0> / 2**n, independently.
-
-    Left: Born distribution from state-vector simulation, transformed by
-    the fast Walsh butterfly.  Right: the dense kron-built unitary, with
-    the character sum evaluated directly.
-    """
-    n = circuit.n
-    if not 0 <= mask < (1 << n):
-        raise ValidationError("mask outside register")
-    p = oracle.output_distribution(circuit)
-    lhs = float(oracle.fourier_transform(p)[mask])
-    unitary = oracle.circuit_unitary(circuit, unitary_cap=unitary_cap)
-    weights = np.abs(unitary[:, 0]) ** 2
-    signs = _bits.sign_character([mask], np.arange(1 << n), n)[0]
-    rhs = float((weights * signs).sum() / (1 << n))
-    return lhs, rhs

@@ -206,13 +206,19 @@ def apply_depolarizing_exact(dist, spec, *, n: int | None = None) -> DistVector:
         rates = np.broadcast_to(np.asarray(spec, dtype=float), (n,))
         if rates.min() < 0.0 or rates.max() > 1.0:
             raise ValidationError("raw rates must lie in [0, 1]")
-    by_flips = flip_convolve(p, rates)
-    coeffs = fourier_transform(p) * attenuation_factors(rates)
-    by_fourier = inverse_fourier(coeffs)
-    if np.max(np.abs(by_flips - by_fourier)) > 1e-9:
+    by_flips, gap = depolarize_two_routes(p, rates)
+    if gap > 1e-9:
         raise RuntimeError(
             "internal error: flip convolution and Fourier attenuation disagree")
     return DistVector(n, by_flips)
+
+
+def depolarize_two_routes(p: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, float]:
+    """The noisy distribution by per-bit flips, and its largest pointwise
+    gap to the Fourier attenuation route."""
+    by_flips = flip_convolve(p, rates)
+    by_fourier = inverse_fourier(fourier_transform(p) * attenuation_factors(rates))
+    return by_flips, float(np.max(np.abs(by_flips - by_fourier)))
 
 
 def model_b_factorization_check(dist, eps_list) -> tuple[np.ndarray, np.ndarray]:
@@ -290,12 +296,3 @@ def marginal_distribution(dist, measured) -> DistVector:
     marg = np.transpose(marg, order)
     return DistVector(len(measured), marg.reshape(-1))
 
-
-# --- expectations ----------------------------------------------------------------
-
-def expectation_exact(circuit: Circuit, mask: int, *, dense_cap: int = DENSE_CAP) -> float:
-    """<0^n| C^dag Z^mask C |0^n> by dense simulation."""
-    amps = simulate_state(circuit, dense_cap=dense_cap)
-    n = circuit.n
-    signs = _bits.sign_character([mask], np.arange(1 << n), n)[0]
-    return float(np.real(np.vdot(amps, signs * amps)))

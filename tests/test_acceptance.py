@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_z_string, random_table
+from conftest import random_table
 from ctecs import (
     CLIFFORD_MAGIC,
     CONSTANT_DEPTH,
@@ -31,7 +31,6 @@ from ctecs import (
     l1_distance,
     model_b_factorization_check,
     noise_operator_apply,
-    noisy_input_distribution_iqp,
     random_family_instance,
     sample_alg_batch,
     simulate_marginal,
@@ -40,31 +39,24 @@ from ctecs import (
     validate_lambda,
 )
 from ctecs import _bits, oracle
+from ctecs.checks import (
+    ecs_error,
+    fourier_identity_sides,
+    input_noise_l1,
+    noise_route_gap,
+    sign_fix_gap,
+)
 from ctecs.circuits import random_iqp
-from ctecs.ecs import dense_from_columns
 from ctecs.fourier import (
     EstimatedCoefficients,
     ExactCoefficients,
     estimate_expectation_detailed,
 )
-from ctecs.sampler import negative_mass
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[acceptance {criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {criterion}: {detail}"
-
-
-def _identity_gap(circuit) -> float:
-    """max over all s of |p_hat(s) - <0|C^dag Z^s C|0>/2**n|, dual-route."""
-    n = circuit.n
-    p = oracle.output_distribution(circuit)
-    lhs = oracle.fourier_transform(p)
-    unitary = oracle.circuit_unitary(circuit)
-    weights = np.abs(unitary[:, 0]) ** 2
-    signs = _bits.sign_character(np.arange(1 << n), np.arange(1 << n), n)
-    rhs = (signs @ weights) / (1 << n)
-    return float(np.max(np.abs(lhs - rhs)))
 
 
 def test_criterion_1_fourier_identity():
@@ -75,7 +67,8 @@ def test_criterion_1_fourier_identity():
             n = 2 + i % 7
             rng = np.random.default_rng(1000 + i)
             decomp = random_family_instance(family, n, rng)
-            worst = max(worst, _identity_gap(decomp.circuit))
+            lhs, rhs = fourier_identity_sides(decomp.circuit)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
             count += 1
     _report("1", worst <= 1e-10,
             f"{count} instances (56 per family, n in 2..8), "
@@ -90,17 +83,9 @@ def test_criterion_2_noise_algebra():
         p = rng.random(1 << n)
         p /= p.sum()
         rates = rng.uniform(0.02, 0.98, n)
-        from ctecs.noise import attenuation_factors, flip_convolve
-
-        by_flips = flip_convolve(p, rates)
-        by_fourier = oracle.inverse_fourier(
-            oracle.fourier_transform(p) * attenuation_factors(rates))
-        worst_noise = max(worst_noise, float(np.max(np.abs(by_flips - by_fourier))))
         uniform = np.full(n, float(rng.uniform(0.02, 0.98)))
-        by_flips = flip_convolve(p, uniform)
-        by_fourier = oracle.inverse_fourier(
-            oracle.fourier_transform(p) * attenuation_factors(uniform))
-        worst_noise = max(worst_noise, float(np.max(np.abs(by_flips - by_fourier))))
+        worst_noise = max(worst_noise, noise_route_gap(p, rates),
+                          noise_route_gap(p, uniform))
     worst_fact = 0.0
     for _ in range(50):
         n = int(rng.integers(1, 9))
@@ -142,15 +127,12 @@ def test_criterion_3_ecs_correctness():
             n = 4 + i % 3
             rng = np.random.default_rng(3000 + i)
             decomp = random_family_instance(family, n, rng)
-            v_dense = oracle.circuit_unitary(decomp.v_block)
             for mask in range(1, 1 << n):
                 if _bits.mask_weight(mask) > 3:
                     continue
-                op = ecs_for(decomp, mask)
-                target = v_dense.conj().T @ dense_z_string(mask, n) @ v_dense
-                worst = max(worst, float(np.max(np.abs(
-                    dense_from_columns(op) - target))))
-                involution_ok &= _column_squared_is_identity(op, n, 1e-9)
+                worst = max(worst, ecs_error(decomp, mask))
+                involution_ok &= _column_squared_is_identity(
+                    ecs_for(decomp, mask), n, 1e-9)
                 count += 1
     ok = worst <= 1e-9 and involution_ok
     _report("3", ok,
@@ -289,11 +271,7 @@ def test_criterion_7_sampler_exactness():
     worst_gap = 0.0
     for _ in range(100):
         n = int(rng.integers(1, 11))
-        table = random_table(rng, n, min(3, n))
-        q = table.dense_values()
-        alg = enumerate_alg_distribution(table).p
-        gap = abs(np.abs(q - alg).sum() - 2.0 * negative_mass(table))
-        worst_gap = max(worst_gap, float(gap))
+        worst_gap = max(worst_gap, sign_fix_gap(random_table(rng, n, min(3, n))))
 
     # exactness on nonnegative q: noisy tables of real circuits
     worst_exact = 0.0
@@ -325,15 +303,9 @@ def test_criterion_8_iqp_input_noise_equivalence():
         n = 2 + i % 7
         rng = np.random.default_rng(8000 + i)
         decomp = random_family_instance(IQP, n, rng)
-        p = oracle.output_distribution(decomp.circuit)
-        eps = float(rng.uniform(0.05, 0.95))
-        via_input = noisy_input_distribution_iqp(decomp, np.full(n, eps))
-        via_output = apply_depolarizing_exact(p, NoiseSpec.uniform(eps), n=n)
-        worst = max(worst, l1_distance(via_input, via_output))
-        rates = rng.uniform(0.05, 0.95, n)
-        via_input = noisy_input_distribution_iqp(decomp, rates)
-        via_output = apply_depolarizing_exact(p, NoiseSpec.per_qubit(rates), n=n)
-        worst = max(worst, l1_distance(via_input, via_output))
+        uniform = np.full(n, float(rng.uniform(0.05, 0.95)))
+        worst = max(worst, input_noise_l1(decomp, uniform),
+                    input_noise_l1(decomp, rng.uniform(0.05, 0.95, n)))
     _report("8", worst <= 1e-10,
             f"50 instances, uniform and per-qubit rates: max l1 "
             f"{worst:.2e} <= 1e-10")

@@ -1,10 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ctecs.circuits import Circuit
-from ctecs.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from ctecs import oracle
+from ctecs.checks import SUITES
+from ctecs.circuits import Circuit, h, rz
+from ctecs.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VERIFY, main
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +57,15 @@ def test_exact_identity_circuit_report(tmp_path, capsys):
     report = json.loads(out)
     assert report["p_noisy"]["p"][0] == pytest.approx(9 / 16)
     assert report["alpha"] == pytest.approx(4.0)
+
+
+def test_exact_fine_rotation_angle(tmp_path, capsys):
+    circuit_file = tmp_path / "fine.json"
+    circuit = Circuit(1, (h(0), rz(0, 1, 1100)))
+    circuit_file.write_text(json.dumps(circuit.to_json_dict()))
+    code, out = run_cli(capsys, "exact", "--circuit", str(circuit_file))
+    assert code == EXIT_OK
+    assert json.loads(out)["p"]["p"] == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
 def test_exact_over_cap_is_resource_error(tmp_path, capsys):
@@ -217,6 +229,23 @@ def test_verify_suites_pass(tmp_path, capsys):
         code, out = run_cli(capsys, "verify", "--suite", suite, "--seed", "0")
         assert code == EXIT_OK
         assert json.loads(out)["ok"]
+    code, out = run_cli(capsys, "verify", "--suite", "all", "--seed", "0")
+    assert code == EXIT_OK
+    suites = json.loads(out)["suites"]
+    assert [s["suite"] for s in suites] == list(SUITES) and len(suites) == 6
+    assert all(s["ok"] and s["checks"] for s in suites)
+
+
+def test_verify_noise_algebra_fails_on_a_wrong_noise_route(monkeypatch, capsys):
+    right = oracle.attenuation_factors
+    monkeypatch.setattr(oracle, "attenuation_factors", lambda r: right(r / 2))
+    with pytest.raises(RuntimeError):  # the guard of the noisy oracle stays
+        oracle.apply_depolarizing_exact(np.array([1.0, 0.0, 0.0, 0.0]), [0.3, 0.3])
+    code = main(["verify", "--suite", "noise-algebra", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_VERIFY
+    assert not json.loads(captured.out)["ok"]
+    assert "[FAIL] noise-algebra: trial=0" in captured.err
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
@@ -300,3 +329,34 @@ def test_estimator_reports_carry_diagnostics(tmp_path, capsys):
     assert code == EXIT_OK
     report = json.loads(out)
     _check_estimator_diagnostics(report["diagnostics"], masks=5 + 10)
+
+
+_MALFORMED = {
+    "epsilon": ({"c.json": {"n": 1, "gates": []}},
+                ["exact", "--circuit", "c.json", "--epsilon", "abc"]),
+    "family without n": ({"f.json": {"family": "IQP", "diagonal": []}},
+                         ["fourier", "--circuit", "f.json", "--c", "1"]),
+    "circuit is a list": ({"c.json": [1, 2]}, ["exact", "--circuit", "c.json"]),
+    "rz without sign": ({"c.json": {"n": 1, "gates": [{"g": "RZ", "q": [0], "t": 2}]}},
+                        ["exact", "--circuit", "c.json"]),
+    "delta": ({"cfg.json": {"instance": {"family": "IQP", "n": 2}, "mode": "A",
+                            "alpha": {"assume": 1.0}, "delta": "x", "lambda": 0.3}},
+              ["sample", "--config", "cfg.json"]),
+    "num_samples": ({"cfg.json": {"instance": {"family": "IQP", "n": 2}, "mode": "A",
+                                  "alpha": {"assume": 1.0}, "delta": 0.4,
+                                  "lambda": 0.3, "num_samples": "many"}},
+                    ["sample", "--config", "cfg.json"]),
+    "config not json": ({"cfg.json": "{mode: A"}, ["sample", "--config", "cfg.json"]),
+    "report not json": ({"r.json": "not json"}, ["report", "r.json"]),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_input_is_usage_error(tmp_path, capsys, case):
+    files, argv = _MALFORMED[case]
+    for name, content in files.items():
+        text = content if isinstance(content, str) else json.dumps(content)
+        (tmp_path / name).write_text(text)
+    code = main([str(tmp_path / a) if a in files else a for a in argv])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("invalid input: ")

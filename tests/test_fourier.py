@@ -22,11 +22,11 @@ from ctecs import (
     ct_state_of,
     ecs_for,
     estimate_expectation,
-    exact_fourier_identity_check,
     random_family_instance,
     validate_lambda,
 )
 from ctecs import oracle
+from ctecs.checks import fourier_identity_sides
 from ctecs.circuits import (
     DyadicAngle, build_conjugated_clifford, h, random_clifford_gates)
 from ctecs.fourier import (
@@ -357,28 +357,25 @@ def test_build_table_mask_budget():
 # --- identity check -----------------------------------------------------------------------
 
 def test_identity_check_identity_circuit():
+    lhs, rhs = fourier_identity_sides(Circuit(2, ()))
     for mask in range(4):
-        lhs, rhs = exact_fourier_identity_check(Circuit(2, ()), mask)
-        assert lhs == pytest.approx(0.25, abs=1e-12)
-        assert rhs == pytest.approx(0.25, abs=1e-12)
+        assert lhs[mask] == pytest.approx(0.25, abs=1e-12)
+        assert rhs[mask] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_identity_check_single_hadamard():
-    lhs, rhs = exact_fourier_identity_check(Circuit(1, (h(0),)), 1)
-    assert lhs == pytest.approx(0.0, abs=1e-12)
-    assert rhs == pytest.approx(0.0, abs=1e-12)
-    lhs, rhs = exact_fourier_identity_check(Circuit(1, (h(0),)), 0)
-    assert lhs == pytest.approx(0.5, abs=1e-12)
-    assert rhs == pytest.approx(0.5, abs=1e-12)
+    lhs, rhs = fourier_identity_sides(Circuit(1, (h(0),)))
+    assert lhs[1] == pytest.approx(0.0, abs=1e-12)
+    assert rhs[1] == pytest.approx(0.0, abs=1e-12)
+    assert lhs[0] == pytest.approx(0.5, abs=1e-12)
+    assert rhs[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_identity_check_random_iqp():
     decomp = random_family_instance(IQP, 6, np.random.default_rng(18))
-    worst = max(
-        abs(lhs - rhs)
-        for mask in range(64)
-        for lhs, rhs in [exact_fourier_identity_check(decomp.circuit, mask)])
-    assert worst <= 1e-10
+    lhs, rhs = fourier_identity_sides(decomp.circuit)
+    assert len(lhs) == len(rhs) == 64
+    assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
 class _CountingState(PhaseState):

@@ -23,7 +23,9 @@ from ctecs import (
     random_family_instance,
 )
 from ctecs import _bits, oracle
-from ctecs.circuits import h
+from ctecs.checks import input_noise_l1
+from ctecs.circuits import build_constant_depth, h
+from ctecs.fourier import ExactCoefficients
 
 
 def test_dist_vector_validation():
@@ -208,21 +210,14 @@ def test_input_noise_zero_rate_is_noise_free():
 def test_input_noise_equals_output_noise_uniform():
     for seed in range(10):
         decomp = random_family_instance(IQP, 6, np.random.default_rng(seed))
-        p = output_distribution(decomp.circuit)
-        via_input = noisy_input_distribution_iqp(decomp, np.full(6, 0.3))
-        via_output = apply_depolarizing_exact(p, NoiseSpec.uniform(0.3), n=6)
-        assert l1_distance(via_input, via_output) <= 1e-10
+        assert input_noise_l1(decomp, np.full(6, 0.3)) <= 1e-10
 
 
 def test_input_noise_equals_output_noise_per_qubit():
     rng = np.random.default_rng(13)
     for seed in range(10):
         decomp = random_family_instance(IQP, 5, np.random.default_rng(seed))
-        rates = rng.uniform(0.05, 0.95, 5)
-        p = output_distribution(decomp.circuit)
-        via_input = noisy_input_distribution_iqp(decomp, rates)
-        via_output = apply_depolarizing_exact(p, NoiseSpec.per_qubit(rates), n=5)
-        assert l1_distance(via_input, via_output) <= 1e-10
+        assert input_noise_l1(decomp, rng.uniform(0.05, 0.95, 5)) <= 1e-10
 
 
 def test_input_noise_rejects_non_iqp():
@@ -260,6 +255,6 @@ def test_marginal_distribution_order_and_values():
 
 
 def test_expectation_exact_identity_circuit():
-    circuit = Circuit(2, ())
+    source = ExactCoefficients(build_constant_depth(Circuit(2, ()), 1))
     for mask in range(4):
-        assert oracle.expectation_exact(circuit, mask) == pytest.approx(1.0)
+        assert source.expectation(mask, np.random.default_rng(0)) == pytest.approx(1.0)
