@@ -36,15 +36,22 @@ def noise_route_gap(p, rates) -> float:
     return oracle.depolarize_two_routes(p, rates)[1]
 
 
-def ecs_error(decomp: CtEcsDecomposition, mask: int) -> float:
-    """The larger of two dense errors of ``ecs_for(decomp, mask)``: its
-    column oracle against V^dag Z^mask V, and its square against I."""
+def ecs_error(decomp: CtEcsDecomposition, masks) -> float:
+    """The largest over ``masks`` of two dense errors of
+    ``ecs_for(decomp, mask)``: its column oracle against V^dag Z^mask V,
+    and its square against I.  V is built once."""
     n = decomp.n
     v = oracle.circuit_unitary(decomp.v_block)
-    z = np.diag(_bits.sign_character([mask], np.arange(1 << n), n)[0]).astype(complex)
-    got = dense_from_columns(ecs_for(decomp, mask))
-    return max(float(np.max(np.abs(got - v.conj().T @ z @ v))),
-               float(np.max(np.abs(got @ got - np.eye(1 << n)))))
+    v_dag = v.conj().T
+    identity = np.eye(1 << n)
+    worst = 0.0
+    for mask in masks:
+        signs = _bits.sign_character([mask], np.arange(1 << n), n)[0]
+        z = np.diag(signs).astype(complex)
+        got = dense_from_columns(ecs_for(decomp, mask))
+        worst = max(worst, float(np.max(np.abs(got - v_dag @ z @ v))),
+                    float(np.max(np.abs(got @ got - identity))))
+    return worst
 
 
 def sign_fix_gap(table: FourierTable) -> float:
@@ -118,8 +125,8 @@ def _ecs_suite(seed: int) -> list[dict]:
             rng = seeding.derive_rng(seed, seeding.LABEL_VERIFY, i)
             n = int(rng.integers(2, 6))
             decomp = random_family_instance(family, n, rng)
-            worst = max(ecs_error(decomp, mask)
-                        for mask in _bits.masks_up_to_weight(n, 3) if mask)
+            worst = ecs_error(
+                decomp, [mask for mask in _bits.masks_up_to_weight(n, 3) if mask])
             checks.append({"name": f"{family}/instance={i}/n={n}",
                            "max_abs_error": worst, "ok": worst <= 1e-9})
     return checks

@@ -478,21 +478,16 @@ def _random_distinct_qubits(rng: np.random.Generator, n: int, k: int) -> tuple[i
 
 
 def random_iqp(
-    rng: np.random.Generator,
-    n: int,
-    *,
-    gate_count: int | None = None,
-    kind_weights: tuple[float, float, float] = (0.25, 0.6, 0.15),
+    rng: np.random.Generator, n: int, *, gate_count: int | None = None
 ) -> CtEcsDecomposition:
     """Random IQP instance.
 
-    Draws ``gate_count`` diagonal gates (default 2n); each gate's kind is
-    Z/CZ/CCZ with probability ``kind_weights``, on uniformly random
-    distinct qubits.  CCZ requires n >= 3 and CZ n >= 2; weights of
-    infeasible kinds are redistributed.
+    Draws ``gate_count`` diagonal gates (default 2n), each a Z, CZ or CCZ
+    on uniformly random distinct qubits.  CCZ requires n >= 3 and CZ
+    n >= 2; the weights of infeasible kinds are redistributed.
     """
     count = 2 * n if gate_count is None else gate_count
-    wz, wcz, wccz = kind_weights
+    wz, wcz, wccz = 0.25, 0.6, 0.15
     if n < 3:
         wccz = 0.0
     if n < 2:
@@ -536,8 +531,9 @@ def random_clifford_magic(
     return build_clifford_magic(n, random_clifford_gates(rng, n, count))
 
 
-def random_dyadic_angle(rng: np.random.Generator, max_t: int = 3) -> DyadicAngle:
-    return DyadicAngle(1 if rng.integers(2) else -1, int(rng.integers(1, max_t + 1)))
+def random_dyadic_angle(rng: np.random.Generator) -> DyadicAngle:
+    """A random sign and a uniform t in {1, 2, 3}."""
+    return DyadicAngle(1 if rng.integers(2) else -1, int(rng.integers(1, 4)))
 
 
 def random_conjugated_clifford(
@@ -556,23 +552,19 @@ _CD_SINGLE_KINDS = ("H", "S", "T", "X", "Z")
 
 
 def random_constant_depth(
-    rng: np.random.Generator,
-    n: int,
-    *,
-    depth: int = 3,
-    two_qubit_prob: float = 0.5,
+    rng: np.random.Generator, n: int, *, depth: int = 3
 ) -> CtEcsDecomposition:
     """Random depth-``depth`` circuit of disjoint layers.
 
     Each layer partitions a random qubit order into CZ pairs (with
-    probability ``two_qubit_prob``) and single-qubit gates of uniformly
-    random kind from {H, S, T, X, Z}.
+    probability 1/2) and single-qubit gates of uniformly random kind from
+    {H, S, T, X, Z}.
     """
     gates: list[Gate] = []
     for _ in range(depth):
         order = list(rng.permutation(n))
         while order:
-            if len(order) >= 2 and rng.random() < two_qubit_prob:
+            if len(order) >= 2 and rng.random() < 0.5:
                 a, b = order.pop(), order.pop()
                 gates.append(cz(int(a), int(b)))
             else:
@@ -585,16 +577,24 @@ def random_constant_depth(
 def random_family_instance(
     family: str, n: int, rng: np.random.Generator, **knobs
 ) -> CtEcsDecomposition:
-    """Seeded random instance of any family; a pure function of rng state."""
-    if family == IQP:
-        return random_iqp(rng, n, **knobs)
-    if family == CLIFFORD_MAGIC:
-        return random_clifford_magic(rng, n, **knobs)
-    if family == CONJUGATED_CLIFFORD:
-        return random_conjugated_clifford(rng, n, **knobs)
-    if family == CONSTANT_DEPTH:
-        return random_constant_depth(rng, n, **knobs)
-    raise ValidationError(f"unknown family {family!r}")
+    """Seeded random instance of any family; a pure function of rng state.
+
+    Constant depth takes a ``depth`` knob, the other families a
+    ``gate_count``.
+    """
+    generator, knob = {
+        IQP: (random_iqp, "gate_count"),
+        CLIFFORD_MAGIC: (random_clifford_magic, "gate_count"),
+        CONJUGATED_CLIFFORD: (random_conjugated_clifford, "gate_count"),
+        CONSTANT_DEPTH: (random_constant_depth, "depth"),
+    }.get(family, (None, None))
+    if generator is None:
+        raise ValidationError(f"unknown family {family!r}")
+    for name in knobs:
+        if name != knob:
+            raise ValidationError(
+                f"family {family} takes no {name!r} knob, only {knob!r}")
+    return generator(rng, n, **knobs)
 
 
 # --- family JSON -------------------------------------------------------------

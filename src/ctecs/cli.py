@@ -4,9 +4,9 @@ reports.
 
 Subcommands: gen, exact, fourier, sample, verify, report.  Every run is
 driven by a single 64-bit master seed; submodule streams derive from it by
-labeled splitting (see ``seeding``), so reports are reproducible across
-thread counts.  Exit codes: 0 success, 2 usage error, 3 resource cap
-exceeded, 4 verification failure.
+labeled splitting (see ``seeding``), so the seed fixes the report.  Exit
+codes: 0 success, 2 usage error, 3 resource cap exceeded, 4 verification
+failure.
 """
 
 from __future__ import annotations
@@ -109,6 +109,30 @@ def _number(config: dict, key: str, kind=float, default=None):
             f"config {key!r} must be a number, got {value!r}") from None
 
 
+def _numbers(config: dict, key: str, kind=float) -> list:
+    """``kind`` of each entry of the non-empty config list at ``key``."""
+    values = config[key]
+    try:
+        if isinstance(values, list) and values:
+            return [kind(v) for v in values]
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(
+        f"config {key!r} must be a non-empty list of numbers, got {values!r}")
+
+
+def _qubit_rates(config: dict) -> tuple[tuple[int, float], ...]:
+    """The config's ``lambda_by_qubit`` object as (qubit, rate) pairs."""
+    rates = config.get("lambda_by_qubit", {})
+    try:
+        if isinstance(rates, dict):
+            return tuple({int(j): float(v) for j, v in rates.items()}.items())
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(
+        f"config 'lambda_by_qubit' must map qubits to rates, got {rates!r}")
+
+
 def _load_decomposition(path: str) -> CtEcsDecomposition:
     data = _read_json(path)
     if isinstance(data, dict) and "family" not in data:
@@ -200,7 +224,7 @@ def cmd_exact(args) -> int:
 
 # --- fourier ---------------------------------------------------------------------
 
-def _coefficient_source(decomp, spec: dict, seed: int, threads: int, dense_cap: int):
+def _coefficient_source(decomp, spec: dict, seed: int, dense_cap: int):
     """The coefficient source a spec dict names: ``{"type": "exact"}`` or
     ``{"type": "estimator"}`` with ``tau``/``eta`` or ``batch_size``/``batch_count``."""
     kind = spec.get("type", "exact")
@@ -216,15 +240,14 @@ def _coefficient_source(decomp, spec: dict, seed: int, threads: int, dense_cap: 
         cfg = EstimatorConfig(batch_size=_number(spec, "batch_size", int, 10_000),
                               batch_count=_number(spec, "batch_count", int, 9),
                               seed=seed)
-    return EstimatedCoefficients(decomp, cfg, max_workers=threads)
+    return EstimatedCoefficients(decomp, cfg)
 
 
 def cmd_fourier(args) -> int:
     decomp = _load_decomposition(args.circuit)
     spec = {"type": args.source, "tau": args.tau, "eta": args.eta,
             "batch_size": args.batch_size, "batch_count": args.batch_count}
-    source = _coefficient_source(decomp, spec, args.seed, args.threads,
-                                 args.dense_cap)
+    source = _coefficient_source(decomp, spec, args.seed, args.dense_cap)
     rng = seeding.derive_rng(args.seed, seeding.LABEL_TABLE)
     started = time.perf_counter()
     table = build_low_degree_table(decomp, args.c, source, rng,
@@ -302,6 +325,8 @@ def _check_sample_config(config) -> None:
             f"mode {mode} config lacks {', '.join(missing)}")
     if not isinstance(config.get("source", {}), dict):
         raise ValidationError("'source' must be a JSON object")
+    if not isinstance(config.get("circuit", ""), str):
+        raise ValidationError("'circuit' must be a file path")
 
 
 def cmd_sample(args) -> int:
@@ -316,28 +341,33 @@ def cmd_sample(args) -> int:
     num_samples = _number(config, "num_samples", int, 1000)
     started = time.perf_counter()
     source = _coefficient_source(decomp, config.get("source", {}), seed,
-                                 args.threads, args.dense_cap)
+                                 args.dense_cap)
     source_s = time.perf_counter() - started
     dense = _dense_once(decomp, source, args.dense_cap)
     rng = seeding.derive_rng(seed, seeding.LABEL_SAMPLE)
     if mode == "marginal":
-        alpha, alpha_how = None, "unused"
-        result = simulate_marginal(
-            decomp, config["measured"], source, rng, num_samples)
+        alpha, alpha_how, eps = None, "unused", None
+        measured = _numbers(config, "measured", int)
+        result = simulate_marginal(decomp, measured, source, rng, num_samples)
     else:
+        measured = None
         alpha, alpha_how = _resolve_alpha(
             config.get("alpha", {"measure": True}), dense)
+        budget = config.get("mask_budget")
         limits = {"c_max": _number(config, "c_max", int, 4),
-                  "mask_budget": config.get("mask_budget")}
+                  "mask_budget": None if budget is None
+                  else _number(config, "mask_budget", int)}
         eps = config.get("epsilon")
+        if mode == "B" and isinstance(eps, list):
+            eps = _numbers(config, "epsilon")
+        elif eps is not None:
+            eps = _number(config, "epsilon")
         if mode == "A":
             result = simulate_model_a(
                 decomp, alpha, _number(config, "delta"), _number(config, "lambda"),
                 source, rng, num_samples, true_epsilon=eps, **limits)
         else:
-            by_qubit = {int(j): float(v)
-                        for j, v in config.get("lambda_by_qubit", {}).items()}
-            plan = ModelBPlan(_number(config, "lambda_min"), tuple(by_qubit.items()))
+            plan = ModelBPlan(_number(config, "lambda_min"), _qubit_rates(config))
             result = simulate_model_b(
                 decomp, alpha, _number(config, "delta"), plan, source, rng,
                 num_samples, **limits,
@@ -357,8 +387,8 @@ def cmd_sample(args) -> int:
     if diagnostics is not None:
         report["diagnostics"] = diagnostics
     if args.verify:
-        report["verification"] = _verify_sampling(decomp, config, result, dense,
-                                                  args.dense_cap)
+        report["verification"] = _verify_sampling(decomp, result, eps, measured,
+                                                  dense, args.dense_cap)
     if args.samples_out:
         _write_atomic(Path(args.samples_out),
                       "\n".join(result.sample_strings()) + "\n")
@@ -369,10 +399,9 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _verify_sampling(decomp, config: dict, result, dense, dense_cap: int) -> dict:
+def _verify_sampling(decomp, result, eps, measured, dense, dense_cap: int) -> dict:
     """Compare the run against the dense oracle (small n only)."""
-    mode = config.get("mode", "A")
-    eps = config.get("epsilon")
+    mode = result.report["model"]
     if mode != "marginal" and eps is None:
         return {"note": "no true epsilon in config; oracle comparison skipped"}
     if decomp.n > dense_cap:
@@ -380,7 +409,7 @@ def _verify_sampling(decomp, config: dict, result, dense, dense_cap: int) -> dic
     p = dense()
     alg = enumerate_alg_distribution(result.table)
     if mode == "marginal":
-        target = oracle.marginal_distribution(p, config["measured"])
+        target = oracle.marginal_distribution(p, measured)
     else:
         spec = NoiseSpec.per_qubit(eps) if isinstance(eps, list) else NoiseSpec.uniform(eps)
         target = oracle.apply_depolarizing_exact(p, spec, n=decomp.n)
@@ -391,7 +420,7 @@ def _verify_sampling(decomp, config: dict, result, dense, dense_cap: int) -> dic
     out = {"l1_enumerated_vs_dense": oracle.l1_distance(alg, target),
            "l1_empirical_vs_dense": oracle.l1_distance(emp, target)}
     if mode != "marginal":
-        bound = result.report.get("l1_bound", float(config["delta"]))
+        bound = result.report.get("l1_bound", result.report["delta"])
         out["negative_mass_of_q"] = negative_mass(result.table)
         out["l1_target"] = bound
         out["within_target"] = out["l1_enumerated_vs_dense"] <= bound
@@ -472,8 +501,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="master seed (default 0 or the config's seed)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for estimator batches")
     common.add_argument("--dense-cap", type=int, default=oracle.DENSE_CAP,
                         help="dense-oracle qubit cap")
     sub = parser.add_subparsers(dest="command", required=True)

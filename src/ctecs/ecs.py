@@ -39,7 +39,7 @@ from .errors import ResourceLimitError, ValidationError
 
 COEFF_EPS = 1e-12
 DEFAULT_SUPPORT_CAP = 12
-DEFAULT_TERM_CAP = 256
+TERM_CAP = 256
 
 
 class EcsOperation(abc.ABC):
@@ -197,7 +197,7 @@ class PauliCombination(EcsOperation):
     sparsity stays honest.
     """
 
-    def __init__(self, n: int, terms, *, term_cap: int = DEFAULT_TERM_CAP):
+    def __init__(self, n: int, terms):
         self.n = n
         acc: dict[tuple[int, int], complex] = {}
         for coeff, pauli in terms:
@@ -207,9 +207,9 @@ class PauliCombination(EcsOperation):
             acc[key] = acc.get(key, 0j) + complex(coeff) * pauli.phase
         kept = sorted(
             (key, val) for key, val in acc.items() if abs(val) > COEFF_EPS)
-        if len(kept) > term_cap:
+        if len(kept) > TERM_CAP:
             raise ResourceLimitError(
-                f"Pauli combination grew to {len(kept)} terms (cap {term_cap})")
+                f"Pauli combination grew to {len(kept)} terms (cap {TERM_CAP})")
         self._xmasks = np.array([key[0] for key, _ in kept], dtype=np.int64)
         self._zmasks = np.array([key[1] for key, _ in kept], dtype=np.int64)
         self._coeffs = np.array([val for _, val in kept], dtype=complex)
@@ -390,7 +390,6 @@ def ecs_for(
     mask: int,
     *,
     support_cap: int = DEFAULT_SUPPORT_CAP,
-    term_cap: int = DEFAULT_TERM_CAP,
 ) -> EcsOperation:
     """V^dag Z^mask V for the decomposition's family.
 
@@ -428,7 +427,7 @@ def ecs_for(
                 if abs(alpha) <= COEFF_EPS:
                     continue
                 terms.append((alpha, conjugate_pauli_by_clifford(clifford, pauli)))
-            factor = PauliCombination(n, terms, term_cap=term_cap)
+            factor = PauliCombination(n, terms)
             out = factor if out is None else out @ factor
         return out
     if decomp.family == CONSTANT_DEPTH:

@@ -271,30 +271,19 @@ def estimate_expectation_detailed(
     op: EcsOperation,
     cfg: EstimatorConfig,
     rng: np.random.Generator | None = None,
-    *,
-    validate: bool = True,
-    max_workers: int = 1,
 ) -> EstimatorStats:
-    """Median of batch means of f, with per-batch RNG substreams.
+    """Median of batch means of f, after a spot check of the operator.
 
-    Batch streams are spawned from the parent generator up front, so the
-    result is identical whether batches run sequentially or in a pool.
+    Each batch draws from its own substream spawned from ``rng``; the
+    check's draws on ``rng`` itself leave those substreams unchanged.
     """
     if state.n != op.n:
         raise ValidationError("state and operator widths disagree")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    if validate:
-        check_ecs_observable(op, rng)
-    streams = rng.spawn(cfg.batch_count)
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(
-                lambda g: _one_batch(state, op, cfg.batch_size, g), streams))
-    else:
-        results = [_one_batch(state, op, cfg.batch_size, g) for g in streams]
+    check_ecs_observable(op, rng)
+    results = [_one_batch(state, op, cfg.batch_size, g)
+               for g in rng.spawn(cfg.batch_count)]
     means = np.array([r[0] for r in results])
     total = sum(r[2] for r in results)
     second = sum(r[1] for r in results) / total
@@ -359,28 +348,21 @@ class EstimatedCoefficients(CoefficientSource):
     ``_bits.MAX_PACKED_BITS`` qubits.
     """
 
-    def __init__(self, decomp: CtEcsDecomposition, cfg: EstimatorConfig,
-                 *, support_cap: int = 12, term_cap: int = 256,
-                 max_workers: int = 1):
+    def __init__(self, decomp: CtEcsDecomposition, cfg: EstimatorConfig):
         if decomp.n > _bits.MAX_PACKED_BITS:
             raise ResourceLimitError(
                 f"the estimator supports at most {_bits.MAX_PACKED_BITS} qubits "
                 f"(int64 row packing), got {decomp.n}")
         self.decomp = decomp
         self.cfg = cfg
-        self.support_cap = support_cap
-        self.term_cap = term_cap
-        self.max_workers = max_workers
         self._state = ct_state_of(decomp.u_block)
         self._diagnostics = {
             "masks": 0, "rows_drawn": 0, "distinct_rows": 0, "rows_resampled": 0,
             "second_moment_max": 0.0, "batch_mean_spread_max": 0.0}
 
     def expectation(self, mask: int, rng: np.random.Generator) -> float:
-        op = ecs_for(self.decomp, mask, support_cap=self.support_cap,
-                     term_cap=self.term_cap)
         stats = estimate_expectation_detailed(
-            self._state, op, self.cfg, rng, max_workers=self.max_workers)
+            self._state, ecs_for(self.decomp, mask), self.cfg, rng)
         diag = self._diagnostics
         diag["masks"] += 1
         diag["rows_drawn"] += stats.samples

@@ -56,12 +56,6 @@ class NoiseSpec:
             return {"model": "A", "epsilon": self._rates[0]}
         return {"model": "B", "epsilon": list(self._rates)}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "NoiseSpec":
-        if d["model"] == MODEL_A:
-            return cls.uniform(d["epsilon"])
-        return cls.per_qubit(d["epsilon"])
-
 
 def noise_operator_apply(f: np.ndarray, j: int, delta: float, n: int) -> np.ndarray:
     """Average f over flipping bit j with probability delta/2."""

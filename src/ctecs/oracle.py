@@ -56,10 +56,6 @@ class DistVector:
     def to_json_dict(self) -> dict:
         return {"n": self.n, "p": [float(v) for v in self.p]}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "DistVector":
-        return cls(int(d["n"]), np.asarray(d["p"], dtype=float))
-
 
 def as_prob_array(dist) -> np.ndarray:
     return dist.p if isinstance(dist, DistVector) else np.asarray(dist, dtype=float)
@@ -119,14 +115,14 @@ def _embedded_gate_matrix(gate: Gate, n: int) -> np.ndarray:
     return tensor.reshape(1 << n, 1 << n)
 
 
-def circuit_unitary(circuit: Circuit, *, unitary_cap: int = UNITARY_CAP) -> np.ndarray:
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense matrix of the circuit from explicit per-gate kron products.
 
     Independent of ``simulate_state``'s gate application; used as one side
     of dual-route checks.
     """
     n = circuit.n
-    _check_cap(n, unitary_cap, "dense unitary construction")
+    _check_cap(n, UNITARY_CAP, "dense unitary construction")
     unitary = np.eye(1 << n, dtype=complex)
     for gate in circuit.gates:
         unitary = _embedded_gate_matrix(gate, n) @ unitary
@@ -238,9 +234,7 @@ def model_b_factorization_check(dist, eps_list) -> tuple[np.ndarray, np.ndarray]
     return lhs, rhs
 
 
-def noisy_input_distribution_iqp(
-    decomp: CtEcsDecomposition, eps_list, *, unitary_cap: int = UNITARY_CAP
-) -> DistVector:
+def noisy_input_distribution_iqp(decomp: CtEcsDecomposition, eps_list) -> DistVector:
     """Output distribution when depolarizing noise hits the |0^n> inputs.
 
     Simulates the input noise literally: a mixture over basis states |y>
@@ -250,13 +244,13 @@ def noisy_input_distribution_iqp(
     if decomp.family != IQP:
         raise ValidationError("input-noise equivalence is defined for IQP only")
     n = decomp.n
-    _check_cap(n, unitary_cap, "input-noise simulation")
+    _check_cap(n, UNITARY_CAP, "input-noise simulation")
     rates = np.asarray(eps_list, dtype=float)
     if rates.shape == ():
         rates = np.full(n, float(rates))
     if len(rates) != n:
         raise ValidationError(f"expected {n} rates, got {len(rates)}")
-    unitary = circuit_unitary(decomp.circuit, unitary_cap=unitary_cap)
+    unitary = circuit_unitary(decomp.circuit)
     bits = _bits.index_to_bits(np.arange(1 << n), n).astype(float)
     weights = np.prod(
         np.where(bits > 0, rates / 2.0, 1.0 - rates / 2.0), axis=1)

@@ -158,13 +158,10 @@ def sample_alg_batch(
         [_walk_chunk(levels, stream, count) for stream, count in zip(streams, chunks)])
 
 
-def enumerate_alg_distribution(
-    table: FourierTable, *, dense_cap: int = oracle.DENSE_CAP
-) -> oracle.DistVector:
+def enumerate_alg_distribution(table: FourierTable) -> oracle.DistVector:
     """Exact output law of the sampler, by walking every prefix."""
     n = table.n
-    if n > dense_cap:
-        raise ValidationError(f"enumeration supports at most {dense_cap} qubits")
+    oracle._check_cap(n, oracle.DENSE_CAP, "enumeration")
     levels = _LevelData(table)
     mass = np.array([1.0])
     partial = np.array([levels.zero_value])

@@ -3,7 +3,7 @@
 One 64-bit master seed drives every run.  Submodule streams are derived by
 labeled splitting: ``derive_rng(seed, label, index)`` builds a generator
 from ``SeedSequence(seed, spawn_key=(label, index))``, so any stream can be
-reconstructed independently of execution order or thread count.
+reconstructed independently of execution order.
 
 Label registry (stable; new labels append only):
     0  instance generation

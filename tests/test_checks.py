@@ -30,9 +30,10 @@ def test_noise_route_gap_sees_a_wrong_attenuation(monkeypatch):
 
 def test_ecs_error_sees_the_operator_of_another_mask(monkeypatch):
     decomp = random_family_instance(IQP, 3, np.random.default_rng(2))
-    assert checks.ecs_error(decomp, 0b011) <= 1e-9
-    monkeypatch.setattr(checks, "ecs_for", lambda d, mask: ecs_for(d, mask ^ 0b100))
-    assert checks.ecs_error(decomp, 0b011) > 1e-9
+    assert checks.ecs_error(decomp, [0b110, 0b011]) <= 1e-9
+    monkeypatch.setattr(checks, "ecs_for", lambda d, mask: ecs_for(
+        d, mask ^ 0b100 if mask == 0b011 else mask))
+    assert checks.ecs_error(decomp, [0b110, 0b011]) > 1e-9
 
 
 def test_sign_fix_gap_sees_a_wrong_sampler_law(monkeypatch):

@@ -48,6 +48,13 @@ def test_gen_bad_family_is_usage_error(capsys):
     assert err.value.code == EXIT_USAGE
 
 
+def test_threads_flag_is_unknown(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["fourier", "--circuit", "f.json", "--c", "1", "--threads", "2"])
+    assert err.value.code == EXIT_USAGE
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_exact_identity_circuit_report(tmp_path, capsys):
     circuit_file = tmp_path / "ident.json"
     circuit_file.write_text(json.dumps(Circuit(2, ()).to_json_dict()))
@@ -331,6 +338,13 @@ def test_estimator_reports_carry_diagnostics(tmp_path, capsys):
     _check_estimator_diagnostics(report["diagnostics"], masks=5 + 10)
 
 
+def _sample_case(**fields):
+    """A mode-A sample config on a two-qubit IQP instance, with ``fields``."""
+    config = {"instance": {"family": "IQP", "n": 2}, "mode": "A",
+              "alpha": {"assume": 1.0}, "delta": 0.4, "lambda": 0.3, **fields}
+    return {"cfg.json": config}, ["sample", "--config", "cfg.json"]
+
+
 _MALFORMED = {
     "epsilon": ({"c.json": {"n": 1, "gates": []}},
                 ["exact", "--circuit", "c.json", "--epsilon", "abc"]),
@@ -339,15 +353,23 @@ _MALFORMED = {
     "circuit is a list": ({"c.json": [1, 2]}, ["exact", "--circuit", "c.json"]),
     "rz without sign": ({"c.json": {"n": 1, "gates": [{"g": "RZ", "q": [0], "t": 2}]}},
                         ["exact", "--circuit", "c.json"]),
-    "delta": ({"cfg.json": {"instance": {"family": "IQP", "n": 2}, "mode": "A",
-                            "alpha": {"assume": 1.0}, "delta": "x", "lambda": 0.3}},
-              ["sample", "--config", "cfg.json"]),
-    "num_samples": ({"cfg.json": {"instance": {"family": "IQP", "n": 2}, "mode": "A",
-                                  "alpha": {"assume": 1.0}, "delta": 0.4,
-                                  "lambda": 0.3, "num_samples": "many"}},
-                    ["sample", "--config", "cfg.json"]),
+    "delta": _sample_case(delta="x"),
+    "num_samples": _sample_case(num_samples="many"),
+    "config epsilon": _sample_case(epsilon="x"),
+    "mask_budget": _sample_case(mask_budget="x"),
+    "lambda_by_qubit key": _sample_case(mode="B", lambda_min=0.3,
+                                        lambda_by_qubit={"a": 0.4}),
+    "lambda_by_qubit list": _sample_case(mode="B", lambda_min=0.3,
+                                         lambda_by_qubit=[1, 2]),
+    "measured": _sample_case(mode="marginal", measured=["a"]),
+    "circuit path a number": (
+        {"cfg.json": {"circuit": 987654, "delta": 0.4, "lambda": 0.3}},
+        ["sample", "--config", "cfg.json"]),
     "config not json": ({"cfg.json": "{mode: A"}, ["sample", "--config", "cfg.json"]),
     "report not json": ({"r.json": "not json"}, ["report", "r.json"]),
+    "depth for IQP": ({}, ["gen", "--family", "IQP", "--n", "5", "--depth", "3"]),
+    "gate count for ConstantDepth": (
+        {}, ["gen", "--family", "ConstantDepth", "--n", "5", "--gate-count", "4"]),
 }
 
 

@@ -278,23 +278,12 @@ def test_estimator_error_scales_with_batch_size():
         errs = [
             (estimate_expectation_detailed(
                 state, op, EstimatorConfig(batch_size=batch, batch_count=1),
-                rng, validate=False).value - truth) ** 2
+                rng).value - truth) ** 2
             for _ in range(120)
         ]
         rmse[batch] = math.sqrt(float(np.mean(errs)))
     ratio = rmse[100] / rmse[10_000]
     assert 10 / 3 <= ratio <= 30
-
-
-def test_estimator_threaded_equals_sequential():
-    decomp = random_family_instance(IQP, 5, np.random.default_rng(10))
-    state = ct_state_of(decomp.u_block)
-    op = ecs_for(decomp, 0b00011)
-    cfg = EstimatorConfig(batch_size=2000, batch_count=5, seed=3)
-    a = estimate_expectation_detailed(state, op, cfg, np.random.default_rng(1))
-    b = estimate_expectation_detailed(state, op, cfg, np.random.default_rng(1),
-                                      max_workers=4)
-    np.testing.assert_array_equal(a.batch_means, b.batch_means)
 
 
 def test_estimate_fourier_coefficient_empty_diagonal_is_exact():

@@ -10,6 +10,7 @@ from ctecs import (
     IQP,
     ModelBPlan,
     NoiseSpec,
+    ResourceLimitError,
     ValidationError,
     apply_depolarizing_exact,
     empirical_distribution,
@@ -89,6 +90,11 @@ def test_enumeration_equals_q_when_nonnegative():
     q = table.dense_values()
     assert (q >= 0).all()
     np.testing.assert_allclose(enumerate_alg_distribution(table).p, q, atol=1e-12)
+
+
+def test_enumeration_above_dense_cap_is_a_resource_limit():
+    with pytest.raises(ResourceLimitError, match="at most 20 qubits"):
+        enumerate_alg_distribution(uniform_table(21))
 
 
 def test_levels_group_masks_by_highest_qubit():
