@@ -580,7 +580,7 @@ def random_family_instance(
     """Seeded random instance of any family; a pure function of rng state.
 
     Constant depth takes a ``depth`` knob, the other families a
-    ``gate_count``.
+    ``gate_count``; neither may be negative.
     """
     generator, knob = {
         IQP: (random_iqp, "gate_count"),
@@ -590,10 +590,12 @@ def random_family_instance(
     }.get(family, (None, None))
     if generator is None:
         raise ValidationError(f"unknown family {family!r}")
-    for name in knobs:
+    for name, value in knobs.items():
         if name != knob:
             raise ValidationError(
                 f"family {family} takes no {name!r} knob, only {knob!r}")
+        if value < 0:
+            raise ValidationError(f"knob {name!r} must be >= 0, got {value}")
     return generator(rng, n, **knobs)
 
 

@@ -6,7 +6,9 @@ Subcommands: gen, exact, fourier, sample, verify, report.  Every run is
 driven by a single 64-bit master seed; submodule streams derive from it by
 labeled splitting (see ``seeding``), so the seed fixes the report.  Exit
 codes: 0 success, 2 usage error, 3 resource cap exceeded, 4 verification
-failure.
+failure.  The caps are module constants, not options; a command that will
+compare against the dense oracle checks ``oracle.DENSE_CAP`` before it
+builds a coefficient source.
 """
 
 from __future__ import annotations
@@ -151,6 +153,8 @@ def _load_circuit(path: str) -> Circuit:
 # --- gen -------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
+    if args.count < 0:
+        raise ValidationError(f"--count must be >= 0, got {args.count}")
     knobs = {}
     if args.gate_count is not None:
         knobs["gate_count"] = args.gate_count
@@ -196,10 +200,7 @@ def _noise_from_args(args) -> NoiseSpec | None:
 
 def cmd_exact(args) -> int:
     circuit = _load_circuit(args.circuit)
-    if circuit.n > args.dense_cap:
-        raise ResourceLimitError(
-            f"circuit has {circuit.n} qubits; the dense cap is {args.dense_cap}")
-    p = oracle.output_distribution(circuit, dense_cap=args.dense_cap)
+    p = oracle.output_distribution(circuit)
     report = {
         "schema": REPORT_SCHEMA,
         "command": "exact",
@@ -224,12 +225,12 @@ def cmd_exact(args) -> int:
 
 # --- fourier ---------------------------------------------------------------------
 
-def _coefficient_source(decomp, spec: dict, seed: int, dense_cap: int):
+def _coefficient_source(decomp, spec: dict, seed: int):
     """The coefficient source a spec dict names: ``{"type": "exact"}`` or
     ``{"type": "estimator"}`` with ``tau``/``eta`` or ``batch_size``/``batch_count``."""
     kind = spec.get("type", "exact")
     if kind == "exact":
-        return ExactCoefficients(decomp, dense_cap=dense_cap)
+        return ExactCoefficients(decomp)
     if kind != "estimator":
         raise ValidationError(
             f"unknown source type {kind!r}; choose 'exact' or 'estimator'")
@@ -245,13 +246,14 @@ def _coefficient_source(decomp, spec: dict, seed: int, dense_cap: int):
 
 def cmd_fourier(args) -> int:
     decomp = _load_decomposition(args.circuit)
+    if args.compare_oracle:
+        oracle._check_cap(decomp.n, oracle.DENSE_CAP, "oracle comparison")
     spec = {"type": args.source, "tau": args.tau, "eta": args.eta,
             "batch_size": args.batch_size, "batch_count": args.batch_count}
-    source = _coefficient_source(decomp, spec, args.seed, args.dense_cap)
+    source = _coefficient_source(decomp, spec, args.seed)
     rng = seeding.derive_rng(args.seed, seeding.LABEL_TABLE)
     started = time.perf_counter()
-    table = build_low_degree_table(decomp, args.c, source, rng,
-                                   mask_budget=args.mask_budget)
+    table = build_low_degree_table(decomp, args.c, source, rng)
     elapsed = time.perf_counter() - started
     report = {
         "schema": REPORT_SCHEMA,
@@ -269,11 +271,8 @@ def cmd_fourier(args) -> int:
     if diagnostics is not None:
         report["diagnostics"] = diagnostics
     if args.compare_oracle:
-        if decomp.n > args.dense_cap:
-            raise ResourceLimitError(
-                f"oracle comparison needs n <= {args.dense_cap}")
         exact = (source if isinstance(source, ExactCoefficients)
-                 else ExactCoefficients(decomp, dense_cap=args.dense_cap))
+                 else ExactCoefficients(decomp))
         scale = 0.5 ** decomp.n
         errs = [
             abs(v - exact.expectation(int(m), rng) * scale)
@@ -289,13 +288,12 @@ def cmd_fourier(args) -> int:
 
 # --- sample ----------------------------------------------------------------------
 
-def _dense_once(decomp, source, dense_cap: int):
+def _dense_once(decomp, source):
     """The circuit's dense output distribution on demand: the exact
     source's own, or one simulation on the first call."""
     if isinstance(source, ExactCoefficients):
         return lambda: source.distribution
-    return functools.cache(
-        lambda: oracle.output_distribution(decomp.circuit, dense_cap=dense_cap))
+    return functools.cache(lambda: oracle.output_distribution(decomp.circuit))
 
 
 def _resolve_alpha(spec, dense) -> tuple[float, str]:
@@ -308,6 +306,11 @@ _REQUIRED_KEYS = {
     "A": ("delta", "lambda"),
     "B": ("delta", "lambda_min"),
     "marginal": ("measured",),
+}
+_CONFIG_KEYS = {
+    "circuit", "instance", "mode", "seed", "num_samples", "source", "alpha",
+    "c_max", "epsilon", "delta", "lambda", "lambda_min", "lambda_by_qubit",
+    "measured",
 }
 
 
@@ -327,6 +330,9 @@ def _check_sample_config(config) -> None:
         raise ValidationError("'source' must be a JSON object")
     if not isinstance(config.get("circuit", ""), str):
         raise ValidationError("'circuit' must be a file path")
+    unknown = sorted(set(config) - _CONFIG_KEYS)
+    if unknown:
+        raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
 
 
 def cmd_sample(args) -> int:
@@ -338,12 +344,13 @@ def cmd_sample(args) -> int:
     else:
         decomp = _load_decomposition(config["circuit"])
     mode = config.get("mode", "A")
+    if args.verify and (mode == "marginal" or config.get("epsilon") is not None):
+        oracle._check_cap(decomp.n, oracle.DENSE_CAP, "verification")
     num_samples = _number(config, "num_samples", int, 1000)
     started = time.perf_counter()
-    source = _coefficient_source(decomp, config.get("source", {}), seed,
-                                 args.dense_cap)
+    source = _coefficient_source(decomp, config.get("source", {}), seed)
     source_s = time.perf_counter() - started
-    dense = _dense_once(decomp, source, args.dense_cap)
+    dense = _dense_once(decomp, source)
     rng = seeding.derive_rng(seed, seeding.LABEL_SAMPLE)
     if mode == "marginal":
         alpha, alpha_how, eps = None, "unused", None
@@ -353,24 +360,24 @@ def cmd_sample(args) -> int:
         measured = None
         alpha, alpha_how = _resolve_alpha(
             config.get("alpha", {"measure": True}), dense)
-        budget = config.get("mask_budget")
-        limits = {"c_max": _number(config, "c_max", int, 4),
-                  "mask_budget": None if budget is None
-                  else _number(config, "mask_budget", int)}
+        c_max = _number(config, "c_max", int, 4)
         eps = config.get("epsilon")
         if mode == "B" and isinstance(eps, list):
             eps = _numbers(config, "epsilon")
+            if len(eps) != decomp.n:
+                raise ValidationError(
+                    f"config 'epsilon' lists {len(eps)} rates for {decomp.n} qubits")
         elif eps is not None:
             eps = _number(config, "epsilon")
         if mode == "A":
             result = simulate_model_a(
                 decomp, alpha, _number(config, "delta"), _number(config, "lambda"),
-                source, rng, num_samples, true_epsilon=eps, **limits)
+                source, rng, num_samples, c_max=c_max, true_epsilon=eps)
         else:
             plan = ModelBPlan(_number(config, "lambda_min"), _qubit_rates(config))
             result = simulate_model_b(
                 decomp, alpha, _number(config, "delta"), plan, source, rng,
-                num_samples, **limits,
+                num_samples, c_max=c_max,
                 true_epsilon_min=min(eps) if isinstance(eps, list) else eps)
     report = {
         "schema": REPORT_SCHEMA,
@@ -388,7 +395,7 @@ def cmd_sample(args) -> int:
         report["diagnostics"] = diagnostics
     if args.verify:
         report["verification"] = _verify_sampling(decomp, result, eps, measured,
-                                                  dense, args.dense_cap)
+                                                  dense)
     if args.samples_out:
         _write_atomic(Path(args.samples_out),
                       "\n".join(result.sample_strings()) + "\n")
@@ -399,13 +406,11 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _verify_sampling(decomp, result, eps, measured, dense, dense_cap: int) -> dict:
-    """Compare the run against the dense oracle (small n only)."""
+def _verify_sampling(decomp, result, eps, measured, dense) -> dict:
+    """Compare the run with the dense oracle; ``cmd_sample`` checked the cap."""
     mode = result.report["model"]
     if mode != "marginal" and eps is None:
         return {"note": "no true epsilon in config; oracle comparison skipped"}
-    if decomp.n > dense_cap:
-        raise ResourceLimitError(f"verification needs n <= {dense_cap}")
     p = dense()
     alg = enumerate_alg_distribution(result.table)
     if mode == "marginal":
@@ -501,8 +506,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="master seed (default 0 or the config's seed)")
-    common.add_argument("--dense-cap", type=int, default=oracle.DENSE_CAP,
-                        help="dense-oracle qubit cap")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", parents=[common],
@@ -533,7 +536,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fourier.add_argument("--batch-count", type=int, default=9)
     p_fourier.add_argument("--tau", type=float, default=None)
     p_fourier.add_argument("--eta", type=float, default=0.05)
-    p_fourier.add_argument("--mask-budget", type=int, default=100_000)
     p_fourier.add_argument("--compare-oracle", action="store_true")
     p_fourier.add_argument("--out", default=None)
     p_fourier.set_defaults(func=cmd_fourier)

@@ -38,8 +38,10 @@ from .circuits import (
 from .errors import ResourceLimitError, ValidationError
 
 COEFF_EPS = 1e-12
-DEFAULT_SUPPORT_CAP = 12
+SUPPORT_CAP = 12
 TERM_CAP = 256
+CHECK_TRIALS = 4  # columns sampled by check_ecs_observable
+CHECK_TOL = 1e-9
 
 
 class EcsOperation(abc.ABC):
@@ -341,7 +343,7 @@ def conjugated_z_decomposition(phi: float, theta: float) -> tuple[complex, ...]:
 
 # --- lightcones -----------------------------------------------------------------
 
-def _lightcone_marked(circuit: Circuit, j: int, cap: int) -> tuple[tuple[int, ...], list[Gate]]:
+def _lightcone_marked(circuit: Circuit, j: int) -> tuple[tuple[int, ...], list[Gate]]:
     if not 0 <= j < circuit.n:
         raise ValidationError(f"qubit {j} outside register")
     support = {j}
@@ -350,21 +352,19 @@ def _lightcone_marked(circuit: Circuit, j: int, cap: int) -> tuple[tuple[int, ..
         if support.intersection(gate.qubits):
             marked.append(gate)
             support.update(gate.qubits)
-            if len(support) > cap:
-                raise ResourceLimitError(
-                    f"lightcone of qubit {j} exceeds the {cap}-qubit support cap")
+            if len(support) > SUPPORT_CAP:
+                raise ResourceLimitError(f"lightcone of qubit {j} exceeds "
+                                         f"the {SUPPORT_CAP}-qubit support cap")
     marked.reverse()
     return tuple(sorted(support)), marked
 
 
-def lightcone(circuit: Circuit, j: int, *, cap: int = DEFAULT_SUPPORT_CAP) -> tuple[int, ...]:
+def lightcone(circuit: Circuit, j: int) -> tuple[int, ...]:
     """Reverse lightcone of qubit j: the support of C^dag Z_j C."""
-    return _lightcone_marked(circuit, j, cap)[0]
+    return _lightcone_marked(circuit, j)[0]
 
 
-def local_z_operator(
-    circuit: Circuit, j: int, *, cap: int = DEFAULT_SUPPORT_CAP
-) -> LocalOperator:
+def local_z_operator(circuit: Circuit, j: int) -> LocalOperator:
     """C^dag Z_j C as a dense block on the lightcone of j.
 
     Only gates intersecting the growing support participate; the rest
@@ -372,7 +372,7 @@ def local_z_operator(
     """
     from .oracle import apply_circuit_to_matrix  # local import, no cycle
 
-    support, marked = _lightcone_marked(circuit, j, cap)
+    support, marked = _lightcone_marked(circuit, j)
     m = len(support)
     relabel = {q: i for i, q in enumerate(support)}
     mini = Circuit(m, tuple(
@@ -385,12 +385,7 @@ def local_z_operator(
 
 # --- family-specific conjugated observables --------------------------------------
 
-def ecs_for(
-    decomp: CtEcsDecomposition,
-    mask: int,
-    *,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-) -> EcsOperation:
+def ecs_for(decomp: CtEcsDecomposition, mask: int) -> EcsOperation:
     """V^dag Z^mask V for the decomposition's family.
 
     IQP gives X^mask; Clifford magic a single signed Pauli; conjugated
@@ -432,9 +427,7 @@ def ecs_for(
         return out
     if decomp.family == CONSTANT_DEPTH:
         try:
-            factors = [
-                local_z_operator(decomp.v_block, j, cap=support_cap) for j in qubits
-            ]
+            factors = [local_z_operator(decomp.v_block, j) for j in qubits]
         except ResourceLimitError as exc:
             raise ResourceLimitError(
                 f"{exc} (while conjugating Z^s with |s|={len(qubits)})") from exc
@@ -454,13 +447,7 @@ def dense_from_columns(op: EcsOperation) -> np.ndarray:
     return mat
 
 
-def check_ecs_observable(
-    op: EcsOperation,
-    rng: np.random.Generator,
-    *,
-    trials: int = 4,
-    tol: float = 1e-9,
-) -> None:
+def check_ecs_observable(op: EcsOperation, rng: np.random.Generator) -> None:
     """Spot-check Hermiticity and A @ A = I on sampled basis columns.
 
     Every conjugated Z^s observable satisfies both; operators failing
@@ -468,7 +455,7 @@ def check_ecs_observable(
     column x and then, in one batched call, the columns of its rows.
     """
     dim = 1 << op.n
-    for _ in range(trials):
+    for _ in range(CHECK_TRIALS):
         x = int(rng.integers(dim))
         column = op.columns(x)
         betas = np.array([beta for beta, _ in column], dtype=complex)
@@ -476,12 +463,12 @@ def check_ecs_observable(
         betas2, rows2 = op.columns_bits(_bits.index_to_bits(gammas, op.n))
         rows2 = _bits.bits_to_index(rows2)
         mirror = np.where(rows2 == x, betas2, 0.0).sum(axis=1)
-        if np.any(np.abs(mirror - np.conj(betas)) > tol):
+        if np.any(np.abs(mirror - np.conj(betas)) > CHECK_TOL):
             raise ValidationError(
                 "operator is not Hermitian on sampled columns")
         _, square = _merge_rows(
             np.append(rows2.ravel(), x),
             np.append((betas[:, None] * betas2).ravel(), -1.0))
-        if np.any(np.abs(square) > tol):
+        if np.any(np.abs(square) > CHECK_TOL):
             raise ValidationError(
                 "operator squared is not the identity on sampled columns")

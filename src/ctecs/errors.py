@@ -6,4 +6,4 @@ class ValidationError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured cap (dense size, sparsity, mask budget) would be exceeded."""
+    """A fixed cap (dense size, lightcone support, mask count) would be exceeded."""

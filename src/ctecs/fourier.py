@@ -34,7 +34,7 @@ from .ctstate import CtState, ct_state_of
 from .ecs import EcsOperation, check_ecs_observable, ecs_for
 from .errors import ResourceLimitError, ValidationError
 
-DEFAULT_MASK_BUDGET = 100_000
+MASK_BUDGET = 100_000
 
 
 # --- coefficient tables ---------------------------------------------------------
@@ -328,10 +328,9 @@ class ExactCoefficients(CoefficientSource):
     """Dense route: one state-vector simulation, kept as ``distribution``,
     and its Walsh transform."""
 
-    def __init__(self, decomp: CtEcsDecomposition, *, dense_cap: int = oracle.DENSE_CAP):
+    def __init__(self, decomp: CtEcsDecomposition):
         self.decomp = decomp
-        self.distribution = oracle.output_distribution(decomp.circuit,
-                                                       dense_cap=dense_cap)
+        self.distribution = oracle.output_distribution(decomp.circuit)
         self._expectations = oracle.walsh_hadamard(self.distribution.p)
 
     def expectation(self, mask: int, rng: np.random.Generator) -> float:
@@ -389,8 +388,6 @@ def build_low_degree_table(
     c: int,
     source: CoefficientSource,
     rng: np.random.Generator | None = None,
-    *,
-    mask_budget: int = DEFAULT_MASK_BUDGET,
 ) -> FourierTable:
     """Coefficient table over all masks of weight <= c.
 
@@ -400,9 +397,9 @@ def build_low_degree_table(
     """
     n = decomp.n
     count = _bits.mask_count(n, c)
-    if count > mask_budget:
+    if count > MASK_BUDGET:
         raise ResourceLimitError(
-            f"degree {c} needs {count} masks, over the budget of {mask_budget}; "
+            f"degree {c} needs {count} masks, over the budget of {MASK_BUDGET}; "
             "lower c (or c_max) or switch to the exact-oracle source")
     if rng is None:
         rng = np.random.default_rng(0)

@@ -1,9 +1,10 @@
 """Dense small-n ground truth: state vectors, exact output and noisy
 distributions, Walsh transforms, noise-model algebra, and distance metrics.
 
-Everything here is exponential-cost by design and guarded by explicit caps:
-state-vector routines accept up to ``DENSE_CAP`` qubits (16 MiB complex
-vector), full-unitary routines up to ``UNITARY_CAP``.  The noisy
+Everything here is exponential-cost by design and guarded by fixed caps,
+each checked before the work it guards: state-vector routines accept up to
+``DENSE_CAP`` qubits (16 MiB complex vector), full-unitary routines up to
+``UNITARY_CAP``; a wider register raises ``ResourceLimitError``.  The noisy
 distribution is always computed by two independent routes (per-bit flip
 convolution and Fourier attenuation) and cross-checked before returning.
 """
@@ -82,10 +83,10 @@ def _apply_gate_tensor(state: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     raise ValidationError(f"unsupported multi-qubit kind {kind!r}")
 
 
-def simulate_state(circuit: Circuit, *, dense_cap: int = DENSE_CAP) -> np.ndarray:
+def simulate_state(circuit: Circuit) -> np.ndarray:
     """State vector of circuit|0^n> as a flat (2**n,) complex array."""
     n = circuit.n
-    _check_cap(n, dense_cap, "state-vector simulation")
+    _check_cap(n, DENSE_CAP, "state-vector simulation")
     state = np.zeros((2,) * n, dtype=complex)
     state[(0,) * n] = 1.0
     for gate in circuit.gates:
@@ -129,9 +130,9 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return unitary
 
 
-def output_distribution(circuit: Circuit, *, dense_cap: int = DENSE_CAP) -> DistVector:
+def output_distribution(circuit: Circuit) -> DistVector:
     """Exact Born distribution p(x) = |<x|C|0^n>|**2."""
-    amps = simulate_state(circuit, dense_cap=dense_cap)
+    amps = simulate_state(circuit)
     p = np.abs(amps) ** 2
     return DistVector(circuit.n, p / p.sum())
 

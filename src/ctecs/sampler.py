@@ -221,7 +221,6 @@ def simulate_model_a(
     *,
     c_max: int = 4,
     true_epsilon: float | None = None,
-    mask_budget: int | None = None,
 ) -> SimulationResult:
     """Uniform-rate pipeline: truncated table, attenuation by lam, Alg(q).
 
@@ -236,8 +235,7 @@ def simulate_model_a(
     c_used = min(c_theory, c_max, n)
     table_rng, sample_rng = rng.spawn(2)
     started = time.perf_counter()
-    kwargs = {} if mask_budget is None else {"mask_budget": mask_budget}
-    raw = build_low_degree_table(decomp, c_used, source, table_rng, **kwargs)
+    raw = build_low_degree_table(decomp, c_used, source, table_rng)
     built = time.perf_counter()
     table = attenuate(raw, lam)
     samples = sample_alg_batch(table, sample_rng, num_samples)
@@ -318,7 +316,6 @@ def simulate_model_b(
     *,
     c_max: int = 4,
     true_epsilon_min: float | None = None,
-    mask_budget: int | None = None,
 ) -> SimulationResult:
     """Per-qubit-rate pipeline: model A at lambda_min, then biased-coin
     flips of qubit j with probability delta'_j / 2."""
@@ -326,7 +323,7 @@ def simulate_model_b(
     pipeline_rng, flip_rng = rng.spawn(2)
     base = simulate_model_a(
         decomp, alpha, delta, plan.lambda_min, source, pipeline_rng, num_samples,
-        c_max=c_max, true_epsilon=true_epsilon_min, mask_budget=mask_budget)
+        c_max=c_max, true_epsilon=true_epsilon_min)
     deltas = plan.residual_deltas(n)
     flips = flip_rng.random((num_samples, n)) < (deltas / 2.0)
     samples = base.samples ^ flips.astype(np.uint8)

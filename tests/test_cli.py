@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctecs import oracle
+from ctecs import cli, oracle, sampler
 from ctecs.checks import SUITES
 from ctecs.circuits import Circuit, h, rz
 from ctecs.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VERIFY, main
@@ -53,6 +53,14 @@ def test_threads_flag_is_unknown(capsys):
         main(["fourier", "--circuit", "f.json", "--c", "1", "--threads", "2"])
     assert err.value.code == EXIT_USAGE
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--dense-cap", "--mask-budget"])
+def test_cap_flags_are_unknown(capsys, flag):
+    with pytest.raises(SystemExit) as err:
+        main(["fourier", "--circuit", "f.json", "--c", "1", flag, "5"])
+    assert err.value.code == EXIT_USAGE
+    assert flag in capsys.readouterr().err
 
 
 def test_exact_identity_circuit_report(tmp_path, capsys):
@@ -180,10 +188,10 @@ def test_sample_estimator_tiny_batch_reports_honest_failure(tmp_path, capsys):
     assert not verification["within_target"]
 
 
-def _sample_exit(tmp_path, capsys, config):
+def _sample_exit(tmp_path, capsys, config, *flags):
     config_file = tmp_path / "cfg.json"
     config_file.write_text(json.dumps(config))
-    code = main(["sample", "--config", str(config_file)])
+    code = main(["sample", "--config", str(config_file), *flags])
     return code, capsys.readouterr().err
 
 
@@ -229,6 +237,38 @@ def test_sample_estimator_over_width_limit_is_resource_error(tmp_path, capsys):
         "num_samples": 8})
     assert code == EXIT_RESOURCE
     assert "at most 62 qubits" in err
+
+
+def _wide_instance(tmp_path, monkeypatch):
+    """A family file one qubit above the dense cap; building a table fails."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("a coefficient table was built")
+    monkeypatch.setattr(sampler, "build_low_degree_table", no_table)
+    monkeypatch.setattr(cli, "build_low_degree_table", no_table)
+    instance = tmp_path / "wide.json"
+    instance.write_text(json.dumps({"family": "IQP", "n": oracle.DENSE_CAP + 1}))
+    return instance
+
+
+def test_sample_verify_above_dense_cap_fails_before_the_table(
+        tmp_path, capsys, monkeypatch):
+    instance = _wide_instance(tmp_path, monkeypatch)
+    code, err = _sample_exit(tmp_path, capsys, {
+        "circuit": str(instance), "mode": "A", "alpha": {"assume": 1.0},
+        "delta": 0.4, "lambda": 0.3, "epsilon": 0.3, "c_max": 2,
+        "source": {"type": "estimator", "batch_size": 10, "batch_count": 1},
+        "num_samples": 8}, "--verify")
+    assert code == EXIT_RESOURCE
+    assert f"at most {oracle.DENSE_CAP} qubits" in err
+
+
+def test_fourier_compare_oracle_above_dense_cap_fails_before_the_table(
+        tmp_path, capsys, monkeypatch):
+    instance = _wide_instance(tmp_path, monkeypatch)
+    code = main(["fourier", "--circuit", str(instance), "--c", "2",
+                 "--source", "estimator", "--compare-oracle"])
+    assert code == EXIT_RESOURCE
+    assert f"at most {oracle.DENSE_CAP} qubits" in capsys.readouterr().err
 
 
 def test_verify_suites_pass(tmp_path, capsys):
@@ -357,6 +397,11 @@ _MALFORMED = {
     "num_samples": _sample_case(num_samples="many"),
     "config epsilon": _sample_case(epsilon="x"),
     "mask_budget": _sample_case(mask_budget="x"),
+    "config key typo": _sample_case(c_maxx=4),
+    "mode-B epsilon too short": _sample_case(mode="B", lambda_min=0.3,
+                                             epsilon=[0.3]),
+    "mode-B epsilon too long": _sample_case(mode="B", lambda_min=0.3,
+                                            epsilon=[0.3, 0.3, 0.3]),
     "lambda_by_qubit key": _sample_case(mode="B", lambda_min=0.3,
                                         lambda_by_qubit={"a": 0.4}),
     "lambda_by_qubit list": _sample_case(mode="B", lambda_min=0.3,
@@ -370,11 +415,17 @@ _MALFORMED = {
     "depth for IQP": ({}, ["gen", "--family", "IQP", "--n", "5", "--depth", "3"]),
     "gate count for ConstantDepth": (
         {}, ["gen", "--family", "ConstantDepth", "--n", "5", "--gate-count", "4"]),
+    "negative gate count": ({}, ["gen", "--family", "IQP", "--n", "4",
+                                 "--gate-count", "-3"]),
+    "negative depth": ({}, ["gen", "--family", "ConstantDepth", "--n", "5",
+                            "--depth", "-1"]),
+    "negative count": ({}, ["gen", "--family", "IQP", "--n", "4", "--count", "-2"]),
 }
 
 
 @pytest.mark.parametrize("case", list(_MALFORMED))
-def test_malformed_input_is_usage_error(tmp_path, capsys, case):
+def test_malformed_input_is_usage_error(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)  # a gen case that is not rejected writes here
     files, argv = _MALFORMED[case]
     for name, content in files.items():
         text = content if isinstance(content, str) else json.dumps(content)

@@ -25,7 +25,7 @@ from ctecs import (
 from ctecs import _bits, oracle
 from ctecs.circuits import cz, gate_matrix, h, rx_matrix, rz_matrix, s, t, x, y
 from ctecs.checks import ecs_error
-from ctecs.ecs import dense_from_columns
+from ctecs.ecs import SUPPORT_CAP, dense_from_columns
 
 _PAULI_1Q = {
     (0, 0): np.eye(2, dtype=complex),
@@ -183,10 +183,15 @@ def test_lightcone_empty_circuit():
     assert lightcone(Circuit(3, ()), 2) == (2,)
 
 
+def _cz_chain(n: int) -> Circuit:
+    return Circuit(n, tuple(cz(i, i + 1) for i in range(n - 1)))
+
+
 def test_lightcone_cap_raises():
-    circuit = Circuit(6, (cz(0, 1), cz(1, 2), cz(2, 3), cz(3, 4), cz(4, 5)))
+    cone = lightcone(_cz_chain(SUPPORT_CAP), SUPPORT_CAP - 1)
+    assert cone == tuple(range(SUPPORT_CAP))
     with pytest.raises(ResourceLimitError):
-        lightcone(circuit, 5, cap=3)
+        lightcone(_cz_chain(14), 13)
 
 
 def test_local_z_operator_matches_full_conjugation():
@@ -267,12 +272,11 @@ def test_ecs_for_rejects_zero_mask():
 
 
 def test_ecs_for_constant_depth_support_cap():
-    gates = tuple(cz(i, i + 1) for i in range(7))
-    decomp = random_family_instance(CONSTANT_DEPTH, 8, np.random.default_rng(0))
-    decomp = type(decomp)(decomp.family, 8, decomp.u_block, Circuit(8, gates),
+    decomp = random_family_instance(CONSTANT_DEPTH, 14, np.random.default_rng(0))
+    decomp = type(decomp)(decomp.family, 14, decomp.u_block, _cz_chain(14),
                           decomp.params)
     with pytest.raises(ResourceLimitError) as err:
-        ecs_for(decomp, 0b00000001, support_cap=3)
+        ecs_for(decomp, 0b1)
     assert "|s|" in str(err.value)
 
 
@@ -290,7 +294,9 @@ def test_involution_and_hermiticity_via_columns(family):
     rng = np.random.default_rng(7)
     decomp = random_family_instance(family, 5, rng)
     for mask in (0b10000, 0b01010, 0b00111):
-        check_ecs_observable(ecs_for(decomp, mask), rng, trials=6)
+        op = ecs_for(decomp, mask)
+        for _ in range(2):
+            check_ecs_observable(op, rng)
 
 
 def test_check_ecs_observable_rejects_non_unitary():

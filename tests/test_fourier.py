@@ -25,11 +25,12 @@ from ctecs import (
     random_family_instance,
     validate_lambda,
 )
-from ctecs import oracle
+from ctecs import _bits, oracle
 from ctecs.checks import fourier_identity_sides
 from ctecs.circuits import (
     DyadicAngle, build_conjugated_clifford, h, random_clifford_gates)
 from ctecs.fourier import (
+    MASK_BUDGET,
     EstimatedCoefficients,
     ExactCoefficients,
     _one_batch,
@@ -337,10 +338,12 @@ def test_build_table_estimator_mode_per_coefficient_accuracy():
 
 
 def test_build_table_mask_budget():
-    decomp = random_family_instance(IQP, 10, np.random.default_rng(17))
+    decomp = random_family_instance(IQP, 40, np.random.default_rng(17))
+    assert _bits.mask_count(40, 4) > MASK_BUDGET
+    source = EstimatedCoefficients(decomp, EstimatorConfig(batch_size=10))
     with pytest.raises(ResourceLimitError):
-        build_low_degree_table(decomp, 4, ExactCoefficients(decomp),
-                               mask_budget=100)
+        build_low_degree_table(decomp, 4, source)
+    assert source.diagnostics()["estimator"]["masks"] == 0
 
 
 # --- identity check -----------------------------------------------------------------------

@@ -59,7 +59,7 @@ def test_output_distribution_matches_amplitudes_clifford_magic():
 
 def test_state_vector_cap():
     with pytest.raises(ResourceLimitError):
-        oracle.simulate_state(Circuit(25, ()), dense_cap=20)
+        oracle.simulate_state(Circuit(oracle.DENSE_CAP + 1, ()))
 
 
 # --- transforms ---------------------------------------------------------------
