@@ -7,8 +7,9 @@ driven by a single 64-bit master seed; submodule streams derive from it by
 labeled splitting (see ``seeding``), so the seed fixes the report.  Exit
 codes: 0 success, 2 usage error, 3 resource cap exceeded, 4 verification
 failure.  The caps are module constants, not options; a command that will
-compare against the dense oracle checks ``oracle.DENSE_CAP`` before it
-builds a coefficient source.
+compare against the dense oracle checks ``oracle.DENSE_CAP``, and
+``fourier`` its degree cutoff and ``fourier.MASK_BUDGET``, before it builds
+a coefficient source.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .fourier import (
     EstimatorConfig,
     ExactCoefficients,
     build_low_degree_table,
+    check_degree,
 )
 from .noise import NoiseSpec, flip_convolve
 from .sampler import (
@@ -248,6 +250,7 @@ def cmd_fourier(args) -> int:
     decomp = _load_decomposition(args.circuit)
     if args.compare_oracle:
         oracle._check_cap(decomp.n, oracle.DENSE_CAP, "oracle comparison")
+    check_degree(decomp.n, args.c)
     spec = {"type": args.source, "tau": args.tau, "eta": args.eta,
             "batch_size": args.batch_size, "batch_count": args.batch_count}
     source = _coefficient_source(decomp, spec, args.seed)
@@ -273,13 +276,10 @@ def cmd_fourier(args) -> int:
     if args.compare_oracle:
         exact = (source if isinstance(source, ExactCoefficients)
                  else ExactCoefficients(decomp))
-        scale = 0.5 ** decomp.n
-        errs = [
-            abs(v - exact.expectation(int(m), rng) * scale)
-            for m, v in zip(table.masks, table.values)
-        ]
+        truth = exact.expectations(table.masks, rng) * 0.5 ** decomp.n
+        errs = np.abs(table.values - truth)
         report["oracle_comparison"] = {
-            "max_abs_error": max(errs),
+            "max_abs_error": float(errs.max()),
             "mean_abs_error": float(np.mean(errs)),
         }
     _emit(report, args.out)
@@ -294,12 +294,6 @@ def _dense_once(decomp, source):
     if isinstance(source, ExactCoefficients):
         return lambda: source.distribution
     return functools.cache(lambda: oracle.output_distribution(decomp.circuit))
-
-
-def _resolve_alpha(spec, dense) -> tuple[float, str]:
-    if isinstance(spec, dict) and "assume" in spec:
-        return _number(spec, "assume"), "assumed"
-    return oracle.anti_concentration_alpha(dense()), "measured"
 
 
 _REQUIRED_KEYS = {
@@ -346,21 +340,19 @@ def cmd_sample(args) -> int:
     mode = config.get("mode", "A")
     if args.verify and (mode == "marginal" or config.get("epsilon") is not None):
         oracle._check_cap(decomp.n, oracle.DENSE_CAP, "verification")
+    # decode every field before the source, whose set-up may be a dense simulation
     num_samples = _number(config, "num_samples", int, 1000)
-    started = time.perf_counter()
-    source = _coefficient_source(decomp, config.get("source", {}), seed)
-    source_s = time.perf_counter() - started
-    dense = _dense_once(decomp, source)
-    rng = seeding.derive_rng(seed, seeding.LABEL_SAMPLE)
+    eps = measured = alpha = None
+    alpha_how = "unused"
     if mode == "marginal":
-        alpha, alpha_how, eps = None, "unused", None
         measured = _numbers(config, "measured", int)
-        result = simulate_marginal(decomp, measured, source, rng, num_samples)
     else:
-        measured = None
-        alpha, alpha_how = _resolve_alpha(
-            config.get("alpha", {"measure": True}), dense)
+        alpha_how = "measured"
+        alpha_spec = config.get("alpha", {"measure": True})
+        if isinstance(alpha_spec, dict) and "assume" in alpha_spec:
+            alpha, alpha_how = _number(alpha_spec, "assume"), "assumed"
         c_max = _number(config, "c_max", int, 4)
+        delta = _number(config, "delta")
         eps = config.get("epsilon")
         if mode == "B" and isinstance(eps, list):
             eps = _numbers(config, "epsilon")
@@ -370,14 +362,27 @@ def cmd_sample(args) -> int:
         elif eps is not None:
             eps = _number(config, "epsilon")
         if mode == "A":
-            result = simulate_model_a(
-                decomp, alpha, _number(config, "delta"), _number(config, "lambda"),
-                source, rng, num_samples, c_max=c_max, true_epsilon=eps)
+            lam = _number(config, "lambda")
         else:
             plan = ModelBPlan(_number(config, "lambda_min"), _qubit_rates(config))
+    started = time.perf_counter()
+    source = _coefficient_source(decomp, config.get("source", {}), seed)
+    source_s = time.perf_counter() - started
+    dense = _dense_once(decomp, source)
+    rng = seeding.derive_rng(seed, seeding.LABEL_SAMPLE)
+    if mode == "marginal":
+        result = simulate_marginal(decomp, measured, source, rng, num_samples)
+    else:
+        if alpha is None:
+            alpha = oracle.anti_concentration_alpha(dense())
+        if mode == "A":
+            result = simulate_model_a(
+                decomp, alpha, delta, lam, source, rng, num_samples,
+                c_max=c_max, true_epsilon=eps)
+        else:
             result = simulate_model_b(
-                decomp, alpha, _number(config, "delta"), plan, source, rng,
-                num_samples, c_max=c_max,
+                decomp, alpha, delta, plan, source, rng, num_samples,
+                c_max=c_max,
                 true_epsilon_min=min(eps) if isinstance(eps, list) else eps)
     report = {
         "schema": REPORT_SCHEMA,

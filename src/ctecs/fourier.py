@@ -11,9 +11,10 @@ batch means of size B then satisfies a Chebyshev-plus-Chernoff tail bound:
 with B = ceil(4/tau**2) each batch errs by more than tau with probability
 at most 1/4, and the median errs with probability at most exp(-K/8).
 
-Each batch packs its drawn rows, keeps the distinct ones with their
-counts, and computes the state's amplitudes once per distinct row; the
-only other amplitudes it needs are those of the column oracle's rows.
+The Born law does not depend on the observable, so one draw (a
+``BornSample``, as in Van den Nest's CT/ECS estimator, arXiv:0911.1624)
+serves every mask of a table, with one amplitude per distinct drawn row.
+The bound holds per coefficient; only different masks' estimates correlate.
 
 Two coefficient sources sit behind one interface: the estimator above, and
 a dense exact source so end-to-end tests can separate truncation error
@@ -227,43 +228,54 @@ class EstimatorStats:
     batch_means: np.ndarray
     second_moment: float
     samples: int
-    resampled: int
     distinct_rows: int
 
 
-def _row_functional(state: CtState, op: EcsOperation, rows: np.ndarray,
-                    amps: np.ndarray) -> np.ndarray:
-    """f on distinct sampled rows with amplitudes ``amps``: row-x inner
-    product over the column oracle."""
-    betas, gammas = op.columns_bits(rows)
-    b, width = betas.shape
-    gamma_amps = state.amplitudes(gammas.reshape(b * width, state.n))
-    gamma_amps = gamma_amps.reshape(b, width)
-    return (np.conj(betas) * gamma_amps).sum(axis=1) / amps
+class BornSample:
+    """K batches of B rows drawn once from a state's Born law, for any
+    number of observables: batch i is ``state.sample_bits(rng.spawn(K)[i],
+    B)``, kept as (distinct row index, count) pairs over the distinct rows
+    of the whole draw, whose amplitudes are computed once."""
 
+    def __init__(self, state: CtState, cfg: EstimatorConfig,
+                 rng: np.random.Generator):
+        draws = [
+            np.unique(_bits.bits_to_index(state.sample_bits(g, cfg.batch_size)),
+                      return_counts=True)
+            for g in rng.spawn(cfg.batch_count)]
+        packed = np.unique(np.concatenate([rows for rows, _ in draws]))
+        self.state = state
+        self.batch_size = cfg.batch_size
+        self.samples = cfg.batch_size * cfg.batch_count
+        self.rows = _bits.index_to_bits(packed, state.n)
+        self.amplitudes = state.amplitudes(self.rows)
+        if np.any(self.amplitudes == 0.0):
+            raise ValidationError("a sampled row has amplitude 0; the state's "
+                                  "sampler and amplitudes disagree")
+        self._batches = [(np.searchsorted(packed, rows), counts)
+                         for rows, counts in draws]
 
-def _one_batch(
-    state: CtState, op: EcsOperation, size: int, rng: np.random.Generator
-) -> tuple[float, float, int, int, int]:
-    bits = state.sample_bits(rng, size)
-    resampled = 0
-    for attempt in range(65):
-        packed = _bits.bits_to_index(bits)
-        uniq, counts = np.unique(packed, return_counts=True)
-        rows = _bits.index_to_bits(uniq, state.n)
-        amps = state.amplitudes(rows)
-        zero = np.abs(amps) == 0.0
-        if attempt == 64 or not zero.any():
-            break
-        # exact Born sampling cannot land on a zero-amplitude string; redraw
-        # rows whose amplitude underflowed (at most 64 rounds) and keep count
-        bad = zero[np.searchsorted(uniq, packed)]
-        resampled += int(bad.sum())
-        bits[bad] = state.sample_bits(rng, int(bad.sum()))
-    f = _row_functional(state, op, rows, amps).real
-    mean = float((f * counts).sum() / size)
-    second = float(((f ** 2) * counts).sum())
-    return mean, second, size, resampled, len(uniq)
+    def estimate(self, op: EcsOperation) -> EstimatorStats:
+        """Median of the batch means of f, the row-x inner product over the
+        column oracle, evaluated once per distinct row."""
+        if self.state.n != op.n:
+            raise ValidationError("state and operator widths disagree")
+        betas, gammas = op.columns_bits(self.rows)
+        b, width = betas.shape
+        gamma_amps = self.state.amplitudes(gammas.reshape(b * width, op.n))
+        f = ((np.conj(betas) * gamma_amps.reshape(b, width)).sum(axis=1)
+             / self.amplitudes).real
+        means = np.array([float((f[i] * counts).sum() / self.batch_size)
+                          for i, counts in self._batches])
+        second = sum(float(((f[i] ** 2) * counts).sum())
+                     for i, counts in self._batches) / self.samples
+        return EstimatorStats(
+            value=float(np.median(means)),
+            batch_means=means,
+            second_moment=second,
+            samples=self.samples,
+            distinct_rows=len(self.rows),
+        )
 
 
 def estimate_expectation_detailed(
@@ -274,28 +286,13 @@ def estimate_expectation_detailed(
 ) -> EstimatorStats:
     """Median of batch means of f, after a spot check of the operator.
 
-    Each batch draws from its own substream spawned from ``rng``; the
-    check's draws on ``rng`` itself leave those substreams unchanged.
+    The batches draw from substreams spawned from ``rng``; the check's
+    draws on ``rng`` itself leave those substreams unchanged.
     """
-    if state.n != op.n:
-        raise ValidationError("state and operator widths disagree")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     check_ecs_observable(op, rng)
-    results = [_one_batch(state, op, cfg.batch_size, g)
-               for g in rng.spawn(cfg.batch_count)]
-    means = np.array([r[0] for r in results])
-    total = sum(r[2] for r in results)
-    second = sum(r[1] for r in results) / total
-    resampled = sum(r[3] for r in results)
-    return EstimatorStats(
-        value=float(np.median(means)),
-        batch_means=means,
-        second_moment=second,
-        samples=total,
-        resampled=resampled,
-        distinct_rows=sum(r[4] for r in results),
-    )
+    return BornSample(state, cfg, rng).estimate(op)
 
 
 def estimate_expectation(
@@ -311,10 +308,11 @@ def estimate_expectation(
 # --- coefficient sources -------------------------------------------------------------
 
 class CoefficientSource(abc.ABC):
-    """Produces <0|U^dag V^dag Z^s V U|0> values for one decomposition."""
+    """Produces <0|U^dag V^dag Z^s V U|0> values for one decomposition,
+    one per mask of a list."""
 
     @abc.abstractmethod
-    def expectation(self, mask: int, rng: np.random.Generator) -> float: ...
+    def expectations(self, masks, rng: np.random.Generator) -> np.ndarray: ...
 
     @abc.abstractmethod
     def describe(self) -> dict: ...
@@ -333,18 +331,17 @@ class ExactCoefficients(CoefficientSource):
         self.distribution = oracle.output_distribution(decomp.circuit)
         self._expectations = oracle.walsh_hadamard(self.distribution.p)
 
-    def expectation(self, mask: int, rng: np.random.Generator) -> float:
-        return float(self._expectations[mask])
+    def expectations(self, masks, rng: np.random.Generator) -> np.ndarray:
+        return self._expectations[np.asarray(masks, dtype=np.int64)]
 
     def describe(self) -> dict:
         return {"type": "exact"}
 
 
 class EstimatedCoefficients(CoefficientSource):
-    """Sampled route through the CT-state / column-oracle estimator.
-
-    Sampled rows are packed into int64, so registers are limited to
-    ``_bits.MAX_PACKED_BITS`` qubits.
+    """Sampled route through the CT-state / column-oracle estimator; each
+    call draws one ``BornSample`` for all its masks.  Sampled rows are packed
+    into int64, so registers are limited to ``_bits.MAX_PACKED_BITS`` qubits.
     """
 
     def __init__(self, decomp: CtEcsDecomposition, cfg: EstimatorConfig):
@@ -356,31 +353,53 @@ class EstimatedCoefficients(CoefficientSource):
         self.cfg = cfg
         self._state = ct_state_of(decomp.u_block)
         self._diagnostics = {
-            "masks": 0, "rows_drawn": 0, "distinct_rows": 0, "rows_resampled": 0,
+            "masks": 0, "rows_drawn": 0, "distinct_rows": 0,
             "second_moment_max": 0.0, "batch_mean_spread_max": 0.0}
 
-    def expectation(self, mask: int, rng: np.random.Generator) -> float:
-        stats = estimate_expectation_detailed(
-            self._state, ecs_for(self.decomp, mask), self.cfg, rng)
+    def expectations(self, masks, rng: np.random.Generator) -> np.ndarray:
+        if len(masks) == 0:
+            return np.zeros(0)
+        sample = BornSample(self._state, self.cfg, rng)
+        stats = [self._estimate(sample, int(mask), rng) for mask in masks]
         diag = self._diagnostics
-        diag["masks"] += 1
-        diag["rows_drawn"] += stats.samples
-        diag["distinct_rows"] += stats.distinct_rows
-        diag["rows_resampled"] += stats.resampled
-        diag["second_moment_max"] = max(diag["second_moment_max"],
-                                        stats.second_moment)
-        spread = float(stats.batch_means.max() - stats.batch_means.min())
-        diag["batch_mean_spread_max"] = max(diag["batch_mean_spread_max"], spread)
-        return stats.value
+        diag["masks"] += len(stats)
+        diag["rows_drawn"] += sample.samples
+        diag["distinct_rows"] += len(sample.rows)
+        diag["second_moment_max"] = max(
+            [diag["second_moment_max"]] + [st.second_moment for st in stats])
+        diag["batch_mean_spread_max"] = max(
+            [diag["batch_mean_spread_max"]]
+            + [float(np.ptp(st.batch_means)) for st in stats])
+        return np.array([st.value for st in stats])
+
+    def _estimate(self, sample: BornSample, mask: int,
+                  rng: np.random.Generator) -> EstimatorStats:
+        """One mask on the shared sample; its operator is freed on return."""
+        op = ecs_for(self.decomp, mask)
+        check_ecs_observable(op, rng)
+        return sample.estimate(op)
 
     def describe(self) -> dict:
         return {"type": "estimator", "config": self.cfg.to_json_dict()}
 
     def diagnostics(self) -> dict:
-        """Estimator aggregates over every mask estimated so far: rows drawn,
-        distinct rows, underflow resamples, the largest empirical second
-        moment and the widest spread (max - min) of one mask's batch means."""
+        """Estimator aggregates: the rows drawn and the distinct rows among
+        them (one Born sample per call), the masks estimated, the largest
+        empirical second moment and the widest spread (max - min) of one
+        mask's batch means."""
         return {"estimator": dict(self._diagnostics)}
+
+
+def check_degree(n: int, c: int) -> None:
+    """Reject a degree cutoff outside [0, n] or with more masks than
+    ``MASK_BUDGET``, before any coefficient is computed."""
+    if not 0 <= c <= n:
+        raise ValidationError(f"degree cutoff {c} outside [0, {n}]")
+    count = _bits.mask_count(n, c)
+    if count > MASK_BUDGET:
+        raise ResourceLimitError(
+            f"degree {c} needs {count} masks, over the budget of {MASK_BUDGET}; "
+            "lower c (or c_max)")
 
 
 def build_low_degree_table(
@@ -391,23 +410,15 @@ def build_low_degree_table(
 ) -> FourierTable:
     """Coefficient table over all masks of weight <= c.
 
-    The zero mask is pinned to 1/2**n; the rest come from the source, each
-    with its own spawned RNG substream (deterministic in enumeration
-    order: weight-major, lexicographic within weight).
+    The zero mask is pinned to 1/2**n; the rest come from one source call
+    on ``rng``, in enumeration order (weight-major, lexicographic within
+    weight).
     """
     n = decomp.n
-    count = _bits.mask_count(n, c)
-    if count > MASK_BUDGET:
-        raise ResourceLimitError(
-            f"degree {c} needs {count} masks, over the budget of {MASK_BUDGET}; "
-            "lower c (or c_max) or switch to the exact-oracle source")
+    check_degree(n, c)
     if rng is None:
         rng = np.random.default_rng(0)
     scale = 0.5 ** n
-    entries: dict[int, float] = {0: scale}
-    masks = [m for m in _bits.masks_up_to_weight(n, c) if m != 0]
-    streams = rng.spawn(len(masks))
-    for mask, stream in zip(masks, streams):
-        entries[mask] = source.expectation(mask, stream) * scale
-    return FourierTable(n, c, entries)
-
+    masks = _bits.masks_up_to_weight(n, c)[1:]
+    values = source.expectations(masks, rng) * scale
+    return FourierTable(n, c, {0: scale, **dict(zip(masks, values.tolist()))})

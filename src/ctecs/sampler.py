@@ -360,11 +360,10 @@ def marginal_table(
         raise ValidationError("measured qubit outside register")
     m = len(measured)
     scale = 0.5 ** m
-    entries: dict[int, float] = {0: scale}
-    for sm, stream in zip(range(1, 1 << m), rng.spawn((1 << m) - 1)):
-        qubits = [measured[i] for i in _bits.mask_to_qubits(sm, m)]
-        entries[sm] = source.expectation(_bits.qubits_to_mask(qubits, n), stream) * scale
-    return FourierTable(m, m, entries)
+    masks = [_bits.qubits_to_mask([measured[i] for i in _bits.mask_to_qubits(sm, m)], n)
+             for sm in range(1, 1 << m)]
+    values = source.expectations(masks, rng) * scale
+    return FourierTable(m, m, {0: scale, **dict(enumerate(values.tolist(), 1))})
 
 
 def simulate_marginal(

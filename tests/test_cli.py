@@ -271,6 +271,23 @@ def test_fourier_compare_oracle_above_dense_cap_fails_before_the_table(
     assert f"at most {oracle.DENSE_CAP} qubits" in capsys.readouterr().err
 
 
+def _no_source(*args, **kwargs):
+    raise AssertionError("a coefficient source was built")
+
+
+@pytest.mark.parametrize("c,code,ending", [
+    ("10", EXIT_RESOURCE, "616666 masks, over the budget of 100000; lower c (or c_max)"),
+    ("21", EXIT_USAGE, "degree cutoff 21 outside [0, 20]"),
+])
+def test_fourier_checks_degree_before_the_source(
+        tmp_path, capsys, monkeypatch, c, code, ending):
+    monkeypatch.setattr(cli, "ExactCoefficients", _no_source)
+    instance = tmp_path / "iqp.json"
+    instance.write_text(json.dumps({"family": "IQP", "n": 20}))
+    assert main(["fourier", "--circuit", str(instance), "--c", c]) == code
+    assert capsys.readouterr().err.rstrip().endswith(ending)
+
+
 def test_verify_suites_pass(tmp_path, capsys):
     for suite in ("noise-factorization", "sampler-fix"):
         code, out = run_cli(capsys, "verify", "--suite", suite, "--seed", "0")
@@ -350,7 +367,6 @@ def _check_estimator_diagnostics(diagnostics, masks):
     est = diagnostics["estimator"]
     assert est["masks"] == masks
     assert 0 < est["distinct_rows"] <= est["rows_drawn"]
-    assert est["rows_resampled"] == 0
     assert 0.0 < est["second_moment_max"] <= 1.0 + 1e-9
     assert est["batch_mean_spread_max"] >= 0.0
 
@@ -363,7 +379,7 @@ def test_estimator_reports_carry_diagnostics(tmp_path, capsys):
     assert code == EXIT_OK
     report = json.loads(out)
     _check_estimator_diagnostics(report["diagnostics"], masks=5 + 10)
-    assert report["diagnostics"]["estimator"]["rows_drawn"] == 15 * 3 * 200
+    assert report["diagnostics"]["estimator"]["rows_drawn"] == 3 * 200
 
     config = {
         "circuit": str(instance), "mode": "A", "alpha": {"assume": 2.0},
@@ -433,3 +449,20 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, monkeypatch, case):
     code = main([str(tmp_path / a) if a in files else a for a in argv])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.startswith("invalid input: ")
+
+
+@pytest.mark.parametrize("fields", [
+    {"delta": "x"}, {"lambda": "x"}, {"c_max": "x"}, {"epsilon": "x"},
+    {"alpha": {"assume": "x"}},
+    {"mode": "B", "lambda_min": "x"},
+    {"mode": "B", "lambda_min": 0.3, "lambda_by_qubit": {"a": 0.4}},
+    {"mode": "marginal", "measured": ["a"]},
+], ids=["delta", "lambda", "c_max", "epsilon", "alpha", "lambda_min",
+        "lambda_by_qubit", "measured"])
+def test_sample_config_is_decoded_before_the_source(
+        tmp_path, capsys, monkeypatch, fields):
+    monkeypatch.setattr(cli, "_coefficient_source", _no_source)
+    files, _ = _sample_case(**fields)
+    code, err = _sample_exit(tmp_path, capsys, files["cfg.json"])
+    assert code == EXIT_USAGE
+    assert err.startswith("invalid input: ")

@@ -31,9 +31,9 @@ from ctecs.circuits import (
     DyadicAngle, build_conjugated_clifford, h, random_clifford_gates)
 from ctecs.fourier import (
     MASK_BUDGET,
+    BornSample,
     EstimatedCoefficients,
     ExactCoefficients,
-    _one_batch,
     estimate_expectation_detailed,
     theory_accuracy_denominator,
     uniform_table,
@@ -211,7 +211,8 @@ def test_estimator_zero_state_z_is_exactly_one():
 
 
 class _UnderflowingState(ProductState):
-    """Every fourth row of the first draw has amplitude 0, as if underflowed."""
+    """Every fourth row of the first draw has amplitude 0, as if underflowed:
+    a sampler that disagrees with the amplitudes."""
 
     def __init__(self, n):
         super().__init__(np.ones(n), np.zeros(n))
@@ -225,13 +226,12 @@ class _UnderflowingState(ProductState):
         return bits
 
 
-def test_estimator_resamples_zero_amplitude_draws():
+def test_estimator_rejects_zero_amplitude_draws():
     state = _UnderflowingState(3)
     op = SignedPauli.z_on(3, (1,))
-    det = estimate_expectation_detailed(
-        state, op, EstimatorConfig(batch_size=64, batch_count=1, seed=2))
-    assert det.resampled == 16
-    assert det.value == 1.0
+    with pytest.raises(ValidationError, match="amplitude 0"):
+        estimate_expectation_detailed(
+            state, op, EstimatorConfig(batch_size=64, batch_count=1, seed=2))
 
 
 def test_estimator_plus_state_z_concentrates_at_zero():
@@ -294,7 +294,7 @@ def test_estimate_fourier_coefficient_empty_diagonal_is_exact():
     cfg = EstimatorConfig(batch_size=100, batch_count=3)
     source = EstimatedCoefficients(decomp, cfg)
     for mask in (0b0001, 0b1010):
-        got = source.expectation(mask, np.random.default_rng(mask)) / 2 ** 4
+        got = source.expectations([mask], np.random.default_rng(mask))[0] / 2 ** 4
         assert got == pytest.approx(1 / 16, abs=1e-12)
 
 
@@ -303,10 +303,10 @@ def test_estimate_fourier_coefficient_matches_dense_and_rejects_zero():
     coeffs = oracle.fourier_transform(oracle.output_distribution(decomp.circuit))
     cfg = EstimatorConfig(batch_size=50_000, batch_count=5)
     source = EstimatedCoefficients(decomp, cfg)
-    got = source.expectation(0b100000, np.random.default_rng(12)) / 2 ** 6
+    got = source.expectations([0b100000], np.random.default_rng(12))[0] / 2 ** 6
     assert abs(got - coeffs[0b100000]) <= 0.01 / 2 ** 6
     with pytest.raises(ValidationError):
-        source.expectation(0, np.random.default_rng(12))
+        source.expectations([0], np.random.default_rng(12))
 
 
 # --- table construction ------------------------------------------------------------------
@@ -346,6 +346,43 @@ def test_build_table_mask_budget():
     assert source.diagnostics()["estimator"]["masks"] == 0
 
 
+def test_build_table_checks_cutoff_before_estimating():
+    decomp = random_family_instance(IQP, 8, np.random.default_rng(17))
+    source = EstimatedCoefficients(decomp, EstimatorConfig(batch_size=10))
+    for c in (9, -1):
+        with pytest.raises(ValidationError, match="cutoff"):
+            build_low_degree_table(decomp, c, source)
+    assert source.diagnostics()["estimator"]["masks"] == 0
+
+
+def test_build_table_draws_one_born_sample(monkeypatch):
+    decomp = random_family_instance(IQP, 5, np.random.default_rng(19))
+    sizes = []
+    draw = PhaseState.sample_bits
+
+    def counted(self, rng, size):
+        sizes.append(size)
+        return draw(self, rng, size)
+
+    monkeypatch.setattr(PhaseState, "sample_bits", counted)
+    source = EstimatedCoefficients(
+        decomp, EstimatorConfig(batch_size=100, batch_count=3))
+    table = build_low_degree_table(decomp, 2, source, np.random.default_rng(20))
+    assert len(table.masks) == 1 + 5 + 10
+    assert sizes == [100, 100, 100]
+    assert source.diagnostics()["estimator"]["rows_drawn"] == 300
+    build_low_degree_table(decomp, 0, source)  # no mask, so no draw
+    assert len(sizes) == 3
+
+
+def test_exact_expectations_are_walsh_entries():
+    decomp = random_family_instance(CLIFFORD_MAGIC, 5, np.random.default_rng(21))
+    truth = oracle.walsh_hadamard(oracle.output_distribution(decomp.circuit).p)
+    masks = np.array([3, 0, 17, 31, 3])
+    got = ExactCoefficients(decomp).expectations(masks, np.random.default_rng(0))
+    np.testing.assert_array_equal(got, truth[masks])
+
+
 # --- identity check -----------------------------------------------------------------------
 
 def test_identity_check_identity_circuit():
@@ -382,7 +419,7 @@ class _CountingState(PhaseState):
         return super().amplitudes(bits)
 
 
-def test_one_batch_computes_each_amplitude_once():
+def test_born_sample_computes_each_amplitude_once():
     # pi/4 rotations make each conjugated Z a three-term Pauli combination
     decomp = build_conjugated_clifford(
         6, DyadicAngle(1, 3), DyadicAngle(-1, 3),
@@ -391,8 +428,9 @@ def test_one_batch_computes_each_amplitude_once():
     op = ecs_for(decomp, 0b100100)
     width = op.columns_bits(np.zeros((1, 6), dtype=np.uint8))[0].shape[1]
     assert width > 1
-    drawn = state.sample_bits(np.random.default_rng(8), 500)
+    drawn = state.sample_bits(np.random.default_rng(8).spawn(1)[0], 500)
     distinct = len(np.unique(drawn, axis=0))
-    _one_batch(state, op, 500, np.random.default_rng(8))
+    cfg = EstimatorConfig(batch_size=500, batch_count=1)
+    BornSample(state, cfg, np.random.default_rng(8)).estimate(op)
     assert state.calls == [distinct, distinct * width]
     assert sum(state.calls) < 500 + distinct

@@ -257,4 +257,5 @@ def test_marginal_distribution_order_and_values():
 def test_expectation_exact_identity_circuit():
     source = ExactCoefficients(build_constant_depth(Circuit(2, ()), 1))
     for mask in range(4):
-        assert source.expectation(mask, np.random.default_rng(0)) == pytest.approx(1.0)
+        assert source.expectations([mask], np.random.default_rng(0))[0] == \
+            pytest.approx(1.0)
