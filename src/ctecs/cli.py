@@ -8,8 +8,8 @@ labeled splitting (see ``seeding``), so the seed fixes the report.  Exit
 codes: 0 success, 2 usage error, 3 resource cap exceeded, 4 verification
 failure.  The caps are module constants, not options; a command that will
 compare against the dense oracle checks ``oracle.DENSE_CAP``, and
-``fourier`` its degree cutoff and ``fourier.MASK_BUDGET``, before it builds
-a coefficient source.
+``fourier`` and ``sample`` their degree cutoff or measured qubits against
+``fourier.MASK_BUDGET``, before it builds a coefficient source.
 """
 
 from __future__ import annotations
@@ -42,10 +42,12 @@ from .fourier import (
     ExactCoefficients,
     build_low_degree_table,
     check_degree,
+    choose_degree,
 )
 from .noise import NoiseSpec, flip_convolve
 from .sampler import (
     ModelBPlan,
+    check_measured,
     enumerate_alg_distribution,
     negative_mass,
     simulate_marginal,
@@ -111,6 +113,14 @@ def _number(config: dict, key: str, kind=float, default=None):
     except (TypeError, ValueError):
         raise ValidationError(
             f"config {key!r} must be a number, got {value!r}") from None
+
+
+def _in_unit_interval(config: dict, key: str) -> float:
+    """The config number at ``key``, which must lie in (0, 1)."""
+    value = _number(config, key)
+    if not 0.0 < value < 1.0:
+        raise ValidationError(f"config {key!r} must lie in (0, 1), got {value}")
+    return value
 
 
 def _numbers(config: dict, key: str, kind=float) -> list:
@@ -345,14 +355,14 @@ def cmd_sample(args) -> int:
     eps = measured = alpha = None
     alpha_how = "unused"
     if mode == "marginal":
-        measured = _numbers(config, "measured", int)
+        measured = check_measured(_numbers(config, "measured", int), decomp.n)
     else:
         alpha_how = "measured"
         alpha_spec = config.get("alpha", {"measure": True})
         if isinstance(alpha_spec, dict) and "assume" in alpha_spec:
             alpha, alpha_how = _number(alpha_spec, "assume"), "assumed"
         c_max = _number(config, "c_max", int, 4)
-        delta = _number(config, "delta")
+        delta = _in_unit_interval(config, "delta")
         eps = config.get("epsilon")
         if mode == "B" and isinstance(eps, list):
             eps = _numbers(config, "epsilon")
@@ -362,9 +372,13 @@ def cmd_sample(args) -> int:
         elif eps is not None:
             eps = _number(config, "epsilon")
         if mode == "A":
-            lam = _number(config, "lambda")
+            lam = _in_unit_interval(config, "lambda")
         else:
             plan = ModelBPlan(_number(config, "lambda_min"), _qubit_rates(config))
+            lam = plan.lambda_min
+        if alpha is not None:
+            c_used = min(choose_degree(alpha, delta, lam), c_max, decomp.n)
+            check_degree(decomp.n, c_used)
     started = time.perf_counter()
     source = _coefficient_source(decomp, config.get("source", {}), seed)
     source_s = time.perf_counter() - started

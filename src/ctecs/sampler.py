@@ -9,8 +9,23 @@ choosing 0 with probability S_y0 / S_y, except that a negative child is
 never entered (the sign-fix rule).  Along any executed path S_y >= 0, and
 the output law Alg(q) differs from q in l1 by exactly twice q's negative
 mass.  Partial sums are carried incrementally: appending bit z updates
-A <- A + (-1)**z * B where B sums the masks whose highest set qubit is k,
-so a full walk costs one pass over the stored masks.
+A <- A + (-1)**z * B where B sums the masks whose highest set qubit is k.
+
+At level k the branch term B is a multilinear polynomial in the signs
+z_j = 1 - 2 y_j of the k prefix bits, with one monomial per mask: the
+mask's prefix qubits.  Each level stores that polynomial once per table,
+in whichever exact form has fewer entries:
+
+- a value table: B at all 2**k prefixes (one Walsh-Hadamard transform of
+  the level's coefficients), read at the packed prefix index;
+- coefficient tensors: for each prefix degree d present, a dense k**d
+  tensor holding each mask's value at its prefix qubits, contracted with
+  z one axis at a time (the first axis is one matrix product).
+
+Full marginal tables take value tables (a k**d tensor for every d <= k
+would dwarf 2**k); degree-c tables take tensors of about k**(c-1) entries
+once 2**k is larger.  The contraction works through the prefixes in
+blocks of rows, so no intermediate exceeds ``_BLOCK_BYTES``.
 
 Sampling draws are organized in fixed-size chunks of 8192 samples, each on
 its own spawned RNG substream; results are reproducible for a given seed
@@ -27,8 +42,9 @@ import numpy as np
 
 from . import _bits, oracle
 from .circuits import CtEcsDecomposition
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .fourier import (
+    MASK_BUDGET,
     CoefficientSource,
     FourierTable,
     LambdaCheck,
@@ -41,6 +57,8 @@ from .fourier import (
 
 CHUNK_SIZE = 8192
 _PATH_TOL = -1e-9
+# widest intermediate of one contraction block of the level kernel
+_BLOCK_BYTES = 1 << 25
 
 
 # --- partial sums ---------------------------------------------------------------
@@ -66,23 +84,57 @@ def marginal_sum(table: FourierTable, y) -> float:
     return float(2 ** (n - k) * total)
 
 
+def _mask_qubits(masks: np.ndarray, n: int, width: int) -> np.ndarray:
+    """(M, width) qubits of each mask, highest first, padded with -1."""
+    out = np.full((len(masks), width), -1, dtype=np.int64)
+    rest = masks.copy()
+    for i in range(width):
+        # the highest qubit of a mask is its lowest set bit
+        low = rest & -rest
+        out[:, i] = np.where(
+            low > 0, n - 1 - np.log2(np.maximum(low, 1)).astype(np.int64), -1)
+        rest ^= low
+    return out
+
+
+def _contract(tensor: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum over t of tensor[t_1, ..., t_d] * z[:, t_1] * ... * z[:, t_d]."""
+    if tensor.ndim == 0:
+        return np.full(len(z), float(tensor))
+    out = z @ tensor.reshape(len(tensor), -1)
+    for _ in range(tensor.ndim - 1):
+        out = np.matmul(z[:, None, :], out.reshape(len(z), z.shape[1], -1))[:, 0]
+    return out[:, 0]
+
+
 class _LevelData:
-    """Per-level mask groups: level k holds masks whose highest qubit is k."""
+    """Per-level branch polynomials: level k holds the masks whose highest
+    qubit is k, as a value table or as coefficient tensors (module doc)."""
 
     def __init__(self, table: FourierTable):
-        self.n = table.n
+        n = self.n = table.n
         masks, values = table.masks, table.values
         self.zero_value = float(values[masks == 0][0])
-        self.prefix_bits: list[np.ndarray] = []
-        self.level_values: list[np.ndarray] = []
-        bit_rows = _bits.mask_bit_matrix(masks, self.n)
-        # the highest qubit of a mask is its lowest set bit
-        low = np.log2(np.maximum(masks & -masks, 1)).astype(np.int64)
-        highest = np.where(masks > 0, self.n - 1 - low, -1)
-        for k in range(self.n):
-            pick = highest == k
-            self.prefix_bits.append(bit_rows[pick][:, :k].astype(float))
-            self.level_values.append(values[pick].astype(float))
+        qubits = _mask_qubits(masks, n, max(table.c, 1))
+        weight = (qubits >= 0).sum(axis=1)
+        # per level: a value table (ndarray) or a list of tensors
+        self.forms: list = []
+        for k in range(n):
+            pick = qubits[:, 0] == k
+            degrees = [int(d) for d in np.unique(weight[pick]) - 1]
+            if 1 << k <= sum(k ** d for d in degrees):
+                coeffs = np.zeros(1 << k)
+                coeffs[masks[pick] >> (n - k)] = values[pick]
+                self.forms.append(oracle.walsh_hadamard(coeffs))
+            else:
+                tensors = []
+                for d in degrees:
+                    rows = pick & (weight == d + 1)
+                    flat = qubits[rows, 1:d + 1] @ (k ** np.arange(d - 1, -1, -1))
+                    tensor = np.zeros(k ** d)
+                    tensor[flat] = values[rows]
+                    tensors.append(tensor.reshape((k,) * d))
+                self.forms.append(tensors)
 
     def step(self, k: int, prefixes: np.ndarray, partial: np.ndarray):
         """Children sums (s0, s1) and the branch term B at level k.
@@ -90,12 +142,17 @@ class _LevelData:
         ``prefixes`` holds one row per prefix with its first k bits set;
         ``partial`` is the carried sum A of each prefix.
         """
-        values = self.level_values[k]
-        if len(values):
-            parity = (prefixes[:, :k].astype(float) @ self.prefix_bits[k].T) % 2.0
-            branch = (1.0 - 2.0 * parity) @ values
+        form = self.forms[k]
+        if isinstance(form, np.ndarray):
+            branch = form[_bits.bits_to_index(prefixes[:, :k])]
         else:
             branch = np.zeros(len(partial))
+            widest = max([1, k] + [t.size // k for t in form if t.ndim > 1])
+            block = max(1, _BLOCK_BYTES // (8 * widest))
+            for start in range(0, len(partial), block):
+                z = 1.0 - 2.0 * prefixes[start:start + block, :k]
+                for tensor in form:
+                    branch[start:start + block] += _contract(tensor, z)
         factor = float(2 ** (self.n - k - 1))
         return factor * (partial + branch), factor * (partial - branch), branch
 
@@ -193,7 +250,9 @@ class SimulationResult:
     report: dict
 
     def sample_strings(self) -> list[str]:
-        return [_bits.bits_to_string(row) for row in self.samples]
+        count, n = self.samples.shape
+        text = (self.samples + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+        return [text[i * n:(i + 1) * n] for i in range(count)]
 
 
 def _theory_constants(n: int, alpha: float, delta: float, lam: float) -> dict:
@@ -339,6 +398,25 @@ def simulate_model_b(
     return SimulationResult(samples=samples, table=base.table, report=report)
 
 
+def check_measured(measured, n: int) -> list[int]:
+    """The measured qubits as ints, checked before any coefficient is
+    computed: at least one, distinct, inside the register, and with its
+    2**m - 1 nonzero masks within ``MASK_BUDGET``."""
+    measured = [int(q) for q in measured]
+    if not measured:
+        raise ValidationError("at least one qubit must be measured")
+    if len(set(measured)) != len(measured):
+        raise ValidationError("measured qubits must be distinct")
+    if any(not 0 <= q < n for q in measured):
+        raise ValidationError("measured qubit outside register")
+    count = (1 << len(measured)) - 1
+    if count > MASK_BUDGET:
+        raise ResourceLimitError(
+            f"{len(measured)} measured qubits need {count} masks, over the "
+            f"budget of {MASK_BUDGET}")
+    return measured
+
+
 def marginal_table(
     decomp: CtEcsDecomposition,
     measured,
@@ -350,14 +428,8 @@ def marginal_table(
     All 2**m - 1 nonzero masks are obtained from the source (no degree
     truncation, no attenuation); the zero mask is pinned to 1/2**m.
     """
-    measured = [int(q) for q in measured]
+    measured = check_measured(measured, decomp.n)
     n = decomp.n
-    if not measured:
-        raise ValidationError("at least one qubit must be measured")
-    if len(set(measured)) != len(measured):
-        raise ValidationError("measured qubits must be distinct")
-    if any(not 0 <= q < n for q in measured):
-        raise ValidationError("measured qubit outside register")
     m = len(measured)
     scale = 0.5 ** m
     masks = [_bits.qubits_to_mask([measured[i] for i in _bits.mask_to_qubits(sm, m)], n)

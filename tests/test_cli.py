@@ -466,3 +466,27 @@ def test_sample_config_is_decoded_before_the_source(
     code, err = _sample_exit(tmp_path, capsys, files["cfg.json"])
     assert code == EXIT_USAGE
     assert err.startswith("invalid input: ")
+
+
+@pytest.mark.parametrize("fields,code,ending", [
+    ({"delta": 2}, EXIT_USAGE, "config 'delta' must lie in (0, 1), got 2.0"),
+    ({"lambda": 0}, EXIT_USAGE, "config 'lambda' must lie in (0, 1), got 0.0"),
+    ({"alpha": {"assume": 0.5}}, EXIT_USAGE, "alpha must be >= 1, got 0.5"),
+    ({"c_max": 10}, EXIT_RESOURCE,
+     "616666 masks, over the budget of 100000; lower c (or c_max)"),
+    ({"mode": "marginal", "measured": [0, 0]}, EXIT_USAGE,
+     "measured qubits must be distinct"),
+    ({"mode": "marginal", "measured": [20]}, EXIT_USAGE,
+     "measured qubit outside register"),
+    ({"mode": "marginal", "measured": list(range(17))}, EXIT_RESOURCE,
+     "17 measured qubits need 131071 masks, over the budget of 100000"),
+], ids=["delta", "lambda", "alpha", "c_max", "measured twice", "measured outside",
+        "measured over budget"])
+def test_sample_config_is_range_checked_before_the_source(
+        tmp_path, capsys, monkeypatch, fields, code, ending):
+    monkeypatch.setattr(cli, "_coefficient_source", _no_source)
+    config = {"instance": {"family": "IQP", "n": 20}, "mode": "A",
+              "alpha": {"assume": 1.0}, "delta": 0.4, "lambda": 0.2, **fields}
+    got, err = _sample_exit(tmp_path, capsys, config)
+    assert got == code
+    assert err.rstrip().endswith(ending)

@@ -97,15 +97,85 @@ def test_enumeration_above_dense_cap_is_a_resource_limit():
         enumerate_alg_distribution(uniform_table(21))
 
 
+def _brute_branches(table, prefixes) -> list[np.ndarray]:
+    """Branch term of every level at each prefix row, one mask at a time."""
+    n = table.n
+    out = [np.zeros(len(prefixes)) for _ in range(n)]
+    for mask, value in zip(table.masks, table.values):
+        qubits = _bits.mask_to_qubits(int(mask), n)
+        if qubits:
+            signs = (-1.0) ** prefixes[:, list(qubits[:-1])].sum(axis=1)
+            out[qubits[-1]] += value * signs
+    return out
+
+
 def test_levels_group_masks_by_highest_qubit():
     from ctecs.sampler import _LevelData
 
     table = random_table(np.random.default_rng(6), 7, 3, density=1.0)
     levels = _LevelData(table)
+    prefixes = _bits.index_to_bits(np.arange(1 << 7), 7)
+    want = _brute_branches(table, prefixes)
     for k in range(7):
-        want = [v for m, v in zip(table.masks, table.values)
-                if m and max(_bits.mask_to_qubits(int(m), 7)) == k]
-        np.testing.assert_array_equal(levels.level_values[k], want)
+        _, _, branch = levels.step(k, prefixes, np.zeros(1 << 7))
+        np.testing.assert_allclose(branch, want[k], rtol=0, atol=1e-15)
+
+
+def test_branch_terms_match_brute_force_sums(monkeypatch):
+    from ctecs import sampler
+    from ctecs.sampler import _LevelData
+
+    # blocks of a few rows, so the block loop runs more than once
+    monkeypatch.setattr(sampler, "_BLOCK_BYTES", 1000)
+    rng = np.random.default_rng(31)
+    forms = set()
+    for _ in range(40):
+        n = int(rng.integers(1, 13))
+        c = int(rng.integers(0, n + 1))
+        table = random_table(rng, n, c, density=float(rng.uniform(0.2, 1.0)),
+                             scale=1.0)
+        levels = _LevelData(table)
+        prefixes = rng.integers(0, 2, (50, n)).astype(np.uint8)
+        partial = rng.normal(size=50)
+        want = _brute_branches(table, prefixes)
+        tol = 1e-12 * np.abs(table.values).sum()
+        for k in range(n):
+            s0, s1, branch = levels.step(k, prefixes, partial)
+            np.testing.assert_allclose(branch, want[k], rtol=0, atol=tol)
+            factor = 2.0 ** (n - k - 1)
+            np.testing.assert_allclose(s0, factor * (partial + want[k]), rtol=0,
+                                       atol=factor * tol)
+            np.testing.assert_allclose(s1, factor * (partial - want[k]), rtol=0,
+                                       atol=factor * tol)
+            form = levels.forms[k]
+            forms.add("values" if isinstance(form, np.ndarray)
+                      else "tensors" if form else "empty")
+    assert forms == {"values", "tensors", "empty"}
+
+
+def test_full_table_levels_store_at_most_two_to_the_k_entries():
+    from ctecs.sampler import _LevelData
+
+    levels = _LevelData(random_table(np.random.default_rng(32), 14, 14, density=1.0))
+    for k, form in enumerate(levels.forms):
+        size = form.size if isinstance(form, np.ndarray) else sum(t.size for t in form)
+        assert size <= 1 << k
+
+
+def test_enumeration_is_q_on_nonnegative_tables_and_keeps_the_fix_identity():
+    rng = np.random.default_rng(33)
+    for _ in range(30):
+        n = int(rng.integers(1, 13))
+        c = int(rng.integers(0, n + 1))
+        signed = random_table(rng, n, c, density=0.5)
+        assert sign_fix_gap(signed) <= 1e-9
+        # coefficients this small cannot make q negative
+        small = random_table(rng, n, c, density=0.5,
+                             scale=0.5 ** n / (4 * _bits.mask_count(n, c)))
+        q = small.dense_values()
+        assert (q >= 0).all()
+        np.testing.assert_allclose(enumerate_alg_distribution(small).p, q,
+                                   rtol=0, atol=1e-12)
 
 
 def test_sampler_rejects_negative_size():
@@ -265,6 +335,30 @@ def test_marginal_constant_depth_estimator_source():
     assert l1_distance(alg, marg) <= 0.05
     emp = empirical_distribution(res.samples, 3)
     assert l1_distance(emp, marg) <= 0.08
+
+
+def test_marginal_table_checks_the_mask_budget_before_the_source():
+    from ctecs.sampler import marginal_table
+
+    class NoSource:
+        def expectations(self, masks, rng):
+            raise AssertionError("coefficients were computed")
+
+    decomp = random_family_instance(IQP, 17, np.random.default_rng(26))
+    with pytest.raises(ResourceLimitError, match="131071 masks"):
+        marginal_table(decomp, range(17), NoSource(), np.random.default_rng(27))
+    with pytest.raises(ValidationError, match="outside register"):
+        marginal_table(decomp, [17], NoSource(), np.random.default_rng(27))
+
+
+def test_sample_strings_match_the_per_row_form():
+    from ctecs.sampler import SimulationResult
+
+    rng = np.random.default_rng(28)
+    for rows, n in [(0, 5), (1, 1), (7, 1), (300, 13), (0, 1), (64, 64)]:
+        samples = rng.integers(0, 2, (rows, n)).astype(np.uint8)
+        result = SimulationResult(samples=samples, table=None, report={})
+        assert result.sample_strings() == [_bits.bits_to_string(r) for r in samples]
 
 
 def test_marginal_rejects_duplicates():
