@@ -46,7 +46,6 @@ from .fourier import (
     attenuate,
     build_low_degree_table,
     choose_degree,
-    estimate_expectation,
     validate_lambda,
 )
 from .noise import NoiseSpec, noise_operator_apply

@@ -280,6 +280,8 @@ def cmd_fourier(args) -> int:
         "table": table.to_json_dict(),
         "timings": {"table_s": elapsed},
     }
+    if isinstance(source, EstimatedCoefficients):
+        report["timings"]["check_s"] = source.check_s
     diagnostics = source.diagnostics()
     if diagnostics is not None:
         report["diagnostics"] = diagnostics
@@ -409,6 +411,8 @@ def cmd_sample(args) -> int:
     }
     # the dense simulation of the exact source runs before the table clock
     result.report["timings"]["source_s"] = source_s
+    if isinstance(source, EstimatedCoefficients):
+        result.report["timings"]["check_s"] = source.check_s
     diagnostics = source.diagnostics()
     if diagnostics is not None:
         report["diagnostics"] = diagnostics

@@ -13,11 +13,19 @@ row sums unchanged.  The scalar ``columns(x)`` is derived from it once, on
 ``COEFF_EPS``.  A lightcone block lists only the entries of its column
 above ``COEFF_EPS`` (zero-padded to its sparsity), so the width of a
 product is the product of its factors' sparsities.
+
+``ecs_for`` builds V^dag Z^s V as the product of the per-qubit operators
+V^dag Z_j V.  Each is built once per decomposition and kept on it, in a
+least-recently-used map bounded by ``OBSERVABLE_MEMO_BYTES`` of operator
+arrays, so a table over many masks conjugates each qubit once.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
+import operator
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +50,7 @@ SUPPORT_CAP = 12
 TERM_CAP = 256
 CHECK_TRIALS = 4  # columns sampled by check_ecs_observable
 CHECK_TOL = 1e-9
+OBSERVABLE_MEMO_BYTES = 64 << 20  # per decomposition, see _z_factor
 
 
 class EcsOperation(abc.ABC):
@@ -65,19 +74,35 @@ class EcsOperation(abc.ABC):
     def columns(self, x: int) -> list[tuple[complex, int]]:
         """Nonzero entries of column x as (value, row-index) pairs, one per
         distinct row in ascending row order."""
-        betas, gammas = self.columns_bits(
-            _bits.index_to_bits(np.int64(x), self.n)[None, :])
-        rows, values = _merge_rows(_bits.bits_to_index(gammas[0]), betas[0])
-        keep = np.abs(values) > COEFF_EPS
-        return [(complex(v), int(r)) for v, r in zip(values[keep], rows[keep])]
+        _, rows, values = _merged_columns(self, np.array([x], dtype=np.int64))
+        return [(complex(v), int(r)) for v, r in zip(values, rows)]
 
 
-def _merge_rows(rows: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows (ascending) with the values listed for each summed."""
-    distinct, inverse = np.unique(rows.ravel(), return_inverse=True)
-    merged = np.zeros(len(distinct), dtype=complex)
-    np.add.at(merged, inverse, values.ravel())
-    return distinct, merged
+def _merge_rows(keys: np.ndarray, rows: np.ndarray, values: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct (key, row) pairs in ascending order, with the values listed
+    for each summed."""
+    keys, rows, values = keys.ravel(), rows.ravel(), values.ravel()
+    if keys.size == 0:
+        return keys, rows, values
+    order = np.lexsort((rows, keys))
+    keys, rows, values = keys[order], rows[order], values[order]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], (keys[1:] != keys[:-1]) | (rows[1:] != rows[:-1]))))
+    return keys[starts], rows[starts], np.add.reduceat(values, starts)
+
+
+def _merged_columns(op: EcsOperation, xs: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries of columns ``xs`` as flat (position in ``xs``, row,
+    value) arrays: one entry per distinct row of a column, ascending, with
+    values at or below ``COEFF_EPS`` dropped."""
+    betas, gammas = op.columns_bits(_bits.index_to_bits(xs, op.n))
+    positions = np.broadcast_to(np.arange(len(xs))[:, None], betas.shape)
+    positions, rows, values = _merge_rows(
+        positions, _bits.bits_to_index(gammas), betas)
+    keep = np.abs(values) > COEFF_EPS
+    return positions[keep], rows[keep], values[keep]
 
 
 @dataclass(frozen=True)
@@ -116,10 +141,6 @@ class SignedPauli(EcsOperation):
     @property
     def phase(self) -> complex:
         return 1j ** self.k
-
-    @property
-    def is_hermitian(self) -> bool:
-        return (self.k % 2) == (_bits.mask_weight(self.xmask & self.zmask) % 2)
 
     def __matmul__(self, other: "SignedPauli") -> "SignedPauli":
         if self.n != other.n:
@@ -224,10 +245,6 @@ class PauliCombination(EcsOperation):
             (complex(c), SignedPauli(self.n, 0, int(xm), int(zm)))
             for c, xm, zm in zip(self._coeffs, self._xmasks, self._zmasks)
         ]
-
-    @property
-    def term_count(self) -> int:
-        return len(self._coeffs)
 
     @property
     def sparsity(self) -> int:
@@ -385,54 +402,79 @@ def local_z_operator(circuit: Circuit, j: int) -> LocalOperator:
 
 # --- family-specific conjugated observables --------------------------------------
 
+def _build_z_factor(decomp: CtEcsDecomposition, j: int) -> EcsOperation:
+    """V^dag Z_j V: a signed Pauli (Clifford magic), a Pauli combination
+    (conjugated Clifford) or a lightcone-local block (constant depth)."""
+    n = decomp.n
+    if decomp.family == CLIFFORD_MAGIC:
+        return conjugate_pauli_by_clifford(
+            decomp.v_block.gates, SignedPauli.z_on(n, (j,)))
+    if decomp.family == CONJUGATED_CLIFFORD:
+        params = decomp.params
+        alphas = conjugated_z_decomposition(
+            params.phi_radians, params.theta_radians)
+        basis = (
+            SignedPauli.identity(n),
+            SignedPauli.z_on(n, (j,)),
+            SignedPauli.x_on(n, (j,)),
+            SignedPauli.y_on(n, (j,)),
+        )
+        return PauliCombination(n, [
+            (alpha, conjugate_pauli_by_clifford(params.clifford, pauli))
+            for alpha, pauli in zip(alphas, basis) if abs(alpha) > COEFF_EPS])
+    if decomp.family == CONSTANT_DEPTH:
+        return local_z_operator(decomp.v_block, j)
+    raise ValidationError(f"unknown family {decomp.family!r}")
+
+
+def _nbytes(op: EcsOperation) -> int:
+    """Bytes of the arrays an operator holds (0 for a signed Pauli)."""
+    return sum(a.nbytes for a in vars(op).values() if isinstance(a, np.ndarray))
+
+
+def _z_factor(decomp: CtEcsDecomposition, j: int) -> EcsOperation:
+    """V^dag Z_j V, built once and kept on ``decomp`` in a least-recently-used
+    map.  Past ``OBSERVABLE_MEMO_BYTES`` of operator arrays the oldest
+    entries are dropped; the entry just built always stays."""
+    ops = decomp.__dict__.get("_z_factors")
+    if ops is None:
+        ops = OrderedDict()  # qubit -> (operator, bytes), least recent first
+        object.__setattr__(decomp, "_z_factors", ops)
+    if j in ops:
+        ops.move_to_end(j)
+        return ops[j][0]
+    op = _build_z_factor(decomp, j)
+    ops[j] = (op, _nbytes(op))
+    while (len(ops) > 1 and sum(size for _, size in ops.values())
+           > OBSERVABLE_MEMO_BYTES):
+        ops.popitem(last=False)
+    return op
+
+
 def ecs_for(decomp: CtEcsDecomposition, mask: int) -> EcsOperation:
     """V^dag Z^mask V for the decomposition's family.
 
     IQP gives X^mask; Clifford magic a single signed Pauli; conjugated
     Clifford a Pauli combination; constant depth a product of
-    lightcone-local blocks.  Raises on mask 0 and on cap violations.
+    lightcone-local blocks.  The non-IQP operators are products, in
+    ascending qubit order, of the per-qubit V^dag Z_j V, each built once
+    per decomposition (``_z_factor``).  Raises on mask 0 and on cap
+    violations.
     """
     n = decomp.n
     if not 0 < mask < (1 << n):
         raise ValidationError("mask must be a nonzero n-bit string")
-    qubits = _bits.mask_to_qubits(mask, n)
     if decomp.family == IQP:
         return SignedPauli(n, 0, mask, 0)
-    if decomp.family == CLIFFORD_MAGIC:
-        out = SignedPauli.identity(n)
-        for j in qubits:
-            out = out @ conjugate_pauli_by_clifford(
-                decomp.v_block.gates, SignedPauli.z_on(n, (j,)))
-        return out
-    if decomp.family == CONJUGATED_CLIFFORD:
-        params = decomp.params
-        alphas = conjugated_z_decomposition(
-            params.phi_radians, params.theta_radians)
-        clifford = params.clifford
-        out: PauliCombination | None = None
-        for j in qubits:
-            terms = []
-            basis = (
-                SignedPauli.identity(n),
-                SignedPauli.z_on(n, (j,)),
-                SignedPauli.x_on(n, (j,)),
-                SignedPauli.y_on(n, (j,)),
-            )
-            for alpha, pauli in zip(alphas, basis):
-                if abs(alpha) <= COEFF_EPS:
-                    continue
-                terms.append((alpha, conjugate_pauli_by_clifford(clifford, pauli)))
-            factor = PauliCombination(n, terms)
-            out = factor if out is None else out @ factor
-        return out
+    qubits = _bits.mask_to_qubits(mask, n)
+    try:
+        factors = [_z_factor(decomp, j) for j in qubits]
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(
+            f"{exc} (while conjugating Z^s with |s|={len(qubits)})") from exc
     if decomp.family == CONSTANT_DEPTH:
-        try:
-            factors = [local_z_operator(decomp.v_block, j) for j in qubits]
-        except ResourceLimitError as exc:
-            raise ResourceLimitError(
-                f"{exc} (while conjugating Z^s with |s|={len(qubits)})") from exc
         return factors[0] if len(factors) == 1 else EcsProduct(factors)
-    raise ValidationError(f"unknown family {decomp.family!r}")
+    return functools.reduce(operator.matmul, factors)
 
 
 # --- checks ----------------------------------------------------------------------
@@ -451,24 +493,30 @@ def check_ecs_observable(op: EcsOperation, rng: np.random.Generator) -> None:
     """Spot-check Hermiticity and A @ A = I on sampled basis columns.
 
     Every conjugated Z^s observable satisfies both; operators failing
-    either are rejected at the estimator boundary.  Each trial reads one
-    column x and then, in one batched call, the columns of its rows.
+    either are rejected at the estimator boundary.  ``CHECK_TRIALS`` columns
+    x are drawn one at a time from ``rng``; one batched call reads them all
+    and a second one the columns of all their rows.  The first failing
+    trial names the error, Hermiticity before the square.
     """
-    dim = 1 << op.n
-    for _ in range(CHECK_TRIALS):
-        x = int(rng.integers(dim))
-        column = op.columns(x)
-        betas = np.array([beta for beta, _ in column], dtype=complex)
-        gammas = np.array([gamma for _, gamma in column], dtype=np.int64)
-        betas2, rows2 = op.columns_bits(_bits.index_to_bits(gammas, op.n))
-        rows2 = _bits.bits_to_index(rows2)
-        mirror = np.where(rows2 == x, betas2, 0.0).sum(axis=1)
-        if np.any(np.abs(mirror - np.conj(betas)) > CHECK_TOL):
-            raise ValidationError(
-                "operator is not Hermitian on sampled columns")
-        _, square = _merge_rows(
-            np.append(rows2.ravel(), x),
-            np.append((betas[:, None] * betas2).ravel(), -1.0))
-        if np.any(np.abs(square) > CHECK_TOL):
-            raise ValidationError(
-                "operator squared is not the identity on sampled columns")
+    xs = np.array([rng.integers(1 << op.n) for _ in range(CHECK_TRIALS)],
+                  dtype=np.int64)
+    trials, gammas, betas = _merged_columns(op, xs)
+    betas2, rows2 = op.columns_bits(_bits.index_to_bits(gammas, op.n))
+    rows2 = _bits.bits_to_index(rows2)
+    mirror = np.where(rows2 == xs[trials][:, None], betas2, 0.0).sum(axis=1)
+    not_hermitian = np.bincount(
+        trials[np.abs(mirror - np.conj(betas)) > CHECK_TOL],
+        minlength=CHECK_TRIALS) > 0
+    square_trials, _, square = _merge_rows(
+        np.append(np.broadcast_to(trials[:, None], rows2.shape),
+                  np.arange(CHECK_TRIALS)),
+        np.append(rows2, xs),
+        np.append(betas[:, None] * betas2, np.full(CHECK_TRIALS, -1.0)))
+    not_square = np.bincount(square_trials[np.abs(square) > CHECK_TOL],
+                             minlength=CHECK_TRIALS) > 0
+    failed = np.flatnonzero(not_hermitian | not_square)
+    if failed.size and not_hermitian[failed[0]]:
+        raise ValidationError("operator is not Hermitian on sampled columns")
+    if failed.size:
+        raise ValidationError(
+            "operator squared is not the identity on sampled columns")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import abc
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,16 +296,6 @@ def estimate_expectation_detailed(
     return BornSample(state, cfg, rng).estimate(op)
 
 
-def estimate_expectation(
-    state: CtState,
-    op: EcsOperation,
-    cfg: EstimatorConfig,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """<phi|O|phi> for a CT state and Hermitian-unitary ECS observable."""
-    return estimate_expectation_detailed(state, op, cfg, rng).value
-
-
 # --- coefficient sources -------------------------------------------------------------
 
 class CoefficientSource(abc.ABC):
@@ -342,6 +333,7 @@ class EstimatedCoefficients(CoefficientSource):
     """Sampled route through the CT-state / column-oracle estimator; each
     call draws one ``BornSample`` for all its masks.  Sampled rows are packed
     into int64, so registers are limited to ``_bits.MAX_PACKED_BITS`` qubits.
+    ``check_s`` adds up the wall time of the operators' spot checks.
     """
 
     def __init__(self, decomp: CtEcsDecomposition, cfg: EstimatorConfig):
@@ -352,6 +344,7 @@ class EstimatedCoefficients(CoefficientSource):
         self.decomp = decomp
         self.cfg = cfg
         self._state = ct_state_of(decomp.u_block)
+        self.check_s = 0.0
         self._diagnostics = {
             "masks": 0, "rows_drawn": 0, "distinct_rows": 0,
             "second_moment_max": 0.0, "batch_mean_spread_max": 0.0}
@@ -374,9 +367,12 @@ class EstimatedCoefficients(CoefficientSource):
 
     def _estimate(self, sample: BornSample, mask: int,
                   rng: np.random.Generator) -> EstimatorStats:
-        """One mask on the shared sample; its operator is freed on return."""
+        """One mask on the shared sample.  Its operator is freed on return;
+        the per-qubit factors stay memoised on the decomposition."""
         op = ecs_for(self.decomp, mask)
+        started = time.perf_counter()
         check_ecs_observable(op, rng)
+        self.check_s += time.perf_counter() - started
         return sample.estimate(op)
 
     def describe(self) -> dict:

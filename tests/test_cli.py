@@ -394,6 +394,32 @@ def test_estimator_reports_carry_diagnostics(tmp_path, capsys):
     _check_estimator_diagnostics(report["diagnostics"], masks=5 + 10)
 
 
+def test_estimator_reports_time_the_spot_check(tmp_path, capsys):
+    instance = _write_instance(tmp_path, capsys, family="ConstantDepth", n=5,
+                               seed=3)
+    fourier = ["fourier", "--circuit", str(instance), "--c", "2"]
+    code, out = run_cli(capsys, *fourier, "--source", "estimator",
+                        "--batch-size", "50", "--batch-count", "1")
+    assert code == EXIT_OK
+    timings = json.loads(out)["timings"]
+    assert 0.0 < timings["check_s"] <= timings["table_s"]
+    code, out = run_cli(capsys, *fourier, "--source", "exact")
+    assert code == EXIT_OK
+    assert set(json.loads(out)["timings"]) == {"table_s"}
+
+    config = {
+        "circuit": str(instance), "mode": "A", "alpha": {"assume": 2.0},
+        "delta": 0.5, "lambda": 0.3, "c_max": 2, "num_samples": 20, "seed": 4,
+        "source": {"type": "estimator", "batch_size": 50, "batch_count": 1},
+    }
+    config_file = tmp_path / "cfg.json"
+    config_file.write_text(json.dumps(config))
+    code, out = run_cli(capsys, "sample", "--config", str(config_file))
+    assert code == EXIT_OK
+    timings = json.loads(out)["report"]["timings"]
+    assert 0.0 < timings["check_s"] <= timings["table_s"] + timings["source_s"]
+
+
 def _sample_case(**fields):
     """A mode-A sample config on a two-qubit IQP instance, with ``fields``."""
     config = {"instance": {"family": "IQP", "n": 2}, "mode": "A",

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,15 @@ from ctecs import (
     FAMILIES,
     IQP,
     Circuit,
+    EcsOperation,
     EcsProduct,
+    EstimatedCoefficients,
+    EstimatorConfig,
     PauliCombination,
     ResourceLimitError,
     SignedPauli,
     ValidationError,
+    build_low_degree_table,
     check_ecs_observable,
     conjugate_pauli_by_clifford,
     conjugated_z_decomposition,
@@ -22,10 +28,10 @@ from ctecs import (
     local_z_operator,
     random_family_instance,
 )
-from ctecs import _bits, oracle
+from ctecs import _bits, ecs, oracle
 from ctecs.circuits import cz, gate_matrix, h, rx_matrix, rz_matrix, s, t, x, y
 from ctecs.checks import ecs_error
-from ctecs.ecs import SUPPORT_CAP, dense_from_columns
+from ctecs.ecs import CHECK_TRIALS, SUPPORT_CAP, dense_from_columns
 
 _PAULI_1Q = {
     (0, 0): np.eye(2, dtype=complex),
@@ -55,14 +61,19 @@ def test_signed_pauli_basis_action_matches_dense():
 
 
 def test_signed_pauli_hermiticity_rule_matches_dense():
+    # the spot check accepts a signed Pauli exactly when its dense matrix is
+    # Hermitian (a non-Hermitian one squares to -I)
     rng = np.random.default_rng(1)
     for _ in range(50):
         n = int(rng.integers(1, 5))
         p = SignedPauli(n, int(rng.integers(4)), int(rng.integers(1 << n)),
                         int(rng.integers(1 << n)))
         mat = dense_signed_pauli(p)
-        dense_hermitian = np.allclose(mat, mat.conj().T, atol=1e-12)
-        assert p.is_hermitian == dense_hermitian
+        if np.allclose(mat, mat.conj().T, atol=1e-12):
+            check_ecs_observable(p, rng)
+        else:
+            with pytest.raises(ValidationError, match="Hermitian"):
+                check_ecs_observable(p, rng)
 
 
 def test_signed_pauli_product_matches_dense():
@@ -259,7 +270,7 @@ def test_ecs_for_conjugated_clifford_weight_one():
                                     np.random.default_rng(2))
     op = ecs_for(decomp, 0b0100)
     assert isinstance(op, PauliCombination)
-    assert op.term_count <= 4
+    assert len(op.terms) <= 4
     mat = dense_from_columns(op)
     np.testing.assert_allclose(mat @ mat, np.eye(16), atol=1e-9)
     check_ecs_observable(op, np.random.default_rng(0))
@@ -342,6 +353,119 @@ def test_batch_columns_agree_with_scalar():
             assert set(merged) == set(want)
             for row, val in want.items():
                 assert merged[row] == pytest.approx(val, abs=1e-12)
+
+
+# --- per-qubit observables and the batched spot check --------------------------------
+
+_MEMO_FAMILIES = (CLIFFORD_MAGIC, CONJUGATED_CLIFFORD, CONSTANT_DEPTH)
+
+
+def _count_factor_builds(monkeypatch) -> Counter:
+    """Count the per-qubit conjugations ``ecs_for`` runs, keyed by the
+    conjugating gates' identity and the conjugated Pauli (Clifford
+    families) or the qubit (constant depth)."""
+    builds = Counter()
+    conjugate, local = ecs.conjugate_pauli_by_clifford, ecs.local_z_operator
+
+    def counted_conjugate(gates, pauli):
+        builds[(id(gates), pauli.k, pauli.xmask, pauli.zmask)] += 1
+        return conjugate(gates, pauli)
+
+    def counted_local(circuit, j):
+        builds[(id(circuit), j)] += 1
+        return local(circuit, j)
+
+    monkeypatch.setattr(ecs, "conjugate_pauli_by_clifford", counted_conjugate)
+    monkeypatch.setattr(ecs, "local_z_operator", counted_local)
+    return builds
+
+
+@pytest.mark.parametrize("family", _MEMO_FAMILIES)
+def test_table_build_conjugates_each_qubit_once(family, monkeypatch):
+    builds = _count_factor_builds(monkeypatch)
+    decomp = random_family_instance(family, 6, np.random.default_rng(3))
+    source = EstimatedCoefficients(decomp, EstimatorConfig(batch_size=20,
+                                                           batch_count=1))
+    build_low_degree_table(decomp, 3, source, np.random.default_rng(4))
+    assert max(builds.values()) == 1
+    if family == CONSTANT_DEPTH:
+        assert sorted(j for _, j in builds) == list(range(6))
+    if family == CLIFFORD_MAGIC:
+        assert len(builds) == 6
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("budget", [None, 1])
+def test_memoised_observables_stay_exact(family, budget, monkeypatch):
+    builds = _count_factor_builds(monkeypatch)
+    if budget is not None:
+        monkeypatch.setattr(ecs, "OBSERVABLE_MEMO_BYTES", budget)
+    decomps = []  # kept alive, so the counted ids stay distinct
+    for n in (4, 6):
+        masks = _bits.masks_up_to_weight(n, 3)[1:]
+        first, second = (random_family_instance(family, n,
+                                                np.random.default_rng(seed))
+                         for seed in (n, n + 10))
+        decomps += [first, second]
+        assert ecs_error(first, masks) <= 1e-9  # first call
+        assert ecs_error(first, masks) <= 1e-9  # repeat call, from the memo
+        assert max(ecs_error(decomp, [mask])  # interleaved
+                   for mask in masks for decomp in (second, first)) <= 1e-9
+    # a one-byte budget keeps only the newest factor, so factors holding
+    # arrays are rebuilt after eviction; signed Paulis hold none
+    evicting = budget is not None and family in (CONJUGATED_CLIFFORD,
+                                                 CONSTANT_DEPTH)
+    assert (max(builds.values(), default=1) > 1) == evicting
+
+
+class _WrongColumn(EcsOperation):
+    """``base`` with column ``x`` scaled by ``scale``."""
+
+    def __init__(self, base, x, scale):
+        self.n, self.base, self.x, self.scale = base.n, base, x, scale
+
+    @property
+    def sparsity(self):
+        return self.base.sparsity
+
+    def columns_bits(self, bits):
+        betas, gammas = self.base.columns_bits(bits)
+        hit = _bits.bits_to_index(bits) == self.x
+        return np.where(hit[:, None], self.scale * betas, betas), gammas
+
+
+def _checked_columns(seed: int, n: int) -> list[int]:
+    probe = np.random.default_rng(seed)
+    return [int(probe.integers(1 << n)) for _ in range(CHECK_TRIALS)]
+
+
+@pytest.mark.parametrize("trial", range(CHECK_TRIALS))
+@pytest.mark.parametrize("base, scale, message", [
+    (SignedPauli.z_on(10, (0,)), 2.0, "squared"),  # Hermitian, squares to 4
+    (SignedPauli.x_on(10, (0,)), 1j, "Hermitian"),
+])
+def test_check_rejects_one_wrong_sampled_column(trial, base, scale, message):
+    xs = _checked_columns(5, 10)
+    assert len(set(xs)) == CHECK_TRIALS
+    check_ecs_observable(base, np.random.default_rng(5))
+    read = {x ^ flip for x in xs for flip in (0, base.xmask)}
+    unsampled = next(x for x in range(1 << 10) if x not in read)
+    check_ecs_observable(_WrongColumn(base, unsampled, scale),
+                         np.random.default_rng(5))
+    with pytest.raises(ValidationError, match=message):
+        check_ecs_observable(_WrongColumn(base, xs[trial], scale),
+                             np.random.default_rng(5))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_check_draws_one_scalar_per_trial(family):
+    decomp = random_family_instance(family, 6, np.random.default_rng(9))
+    rng = np.random.default_rng(11)
+    check_ecs_observable(ecs_for(decomp, 0b100110), rng)
+    probe = np.random.default_rng(11)
+    for _ in range(CHECK_TRIALS):
+        probe.integers(1 << 6)
+    assert rng.bit_generator.state == probe.bit_generator.state
 
 
 # --- sparse lightcone columns and bit packing ---------------------------------------

@@ -21,7 +21,6 @@ from ctecs import (
     choose_degree,
     ct_state_of,
     ecs_for,
-    estimate_expectation,
     random_family_instance,
     validate_lambda,
 )
@@ -207,7 +206,7 @@ def test_estimator_zero_state_z_is_exactly_one():
     state = ProductState.zero(5)
     op = SignedPauli.z_on(5, (0,))
     cfg = EstimatorConfig(batch_size=50, batch_count=3, seed=1)
-    assert estimate_expectation(state, op, cfg) == 1.0
+    assert estimate_expectation_detailed(state, op, cfg).value == 1.0
 
 
 class _UnderflowingState(ProductState):
@@ -242,7 +241,8 @@ def test_estimator_plus_state_z_concentrates_at_zero():
     hits = 0
     reps = 100
     for _ in range(reps):
-        if abs(estimate_expectation(state, op, cfg, rng)) <= 0.02:
+        value = estimate_expectation_detailed(state, op, cfg, rng).value
+        if abs(value) <= 0.02:
             hits += 1
     assert hits >= 99
 
@@ -254,7 +254,8 @@ def test_estimator_iqp_matches_dense():
     rng = np.random.default_rng(5)
     cfg = EstimatorConfig(batch_size=100_000, batch_count=9)
     for mask in (0b00000011, 0b01000001):
-        got = estimate_expectation(state, ecs_for(decomp, mask), cfg, rng)
+        got = estimate_expectation_detailed(
+            state, ecs_for(decomp, mask), cfg, rng).value
         assert abs(got - expectations[mask]) <= 0.01
 
 
