@@ -61,10 +61,6 @@ def string_to_bits(s: str) -> np.ndarray:
     return np.frombuffer(s.encode(), dtype=np.uint8) - ord("0")
 
 
-def bits_to_string(bits) -> str:
-    return "".join("1" if b else "0" for b in np.asarray(bits).ravel())
-
-
 def string_to_index(s: str) -> int:
     return int(s, 2) if s else 0
 

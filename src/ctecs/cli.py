@@ -239,16 +239,17 @@ def cmd_exact(args) -> int:
 
 def _coefficient_source(decomp, spec: dict, seed: int):
     """The coefficient source a spec dict names: ``{"type": "exact"}`` or
-    ``{"type": "estimator"}`` with ``tau``/``eta`` or ``batch_size``/``batch_count``."""
+    ``{"type": "estimator"}`` with ``tau``/``eta`` or ``batch_size``/``batch_count``.
+    An ``eta`` is range-checked even where no ``tau`` uses it."""
     kind = spec.get("type", "exact")
     if kind == "exact":
         return ExactCoefficients(decomp)
     if kind != "estimator":
         raise ValidationError(
             f"unknown source type {kind!r}; choose 'exact' or 'estimator'")
+    eta = 0.05 if spec.get("eta") is None else _in_unit_interval(spec, "eta")
     if spec.get("tau") is not None:
-        cfg = EstimatorConfig.from_accuracy(
-            _number(spec, "tau"), _number(spec, "eta", float, 0.05), seed=seed)
+        cfg = EstimatorConfig.from_accuracy(_number(spec, "tau"), eta, seed=seed)
     else:
         cfg = EstimatorConfig(batch_size=_number(spec, "batch_size", int, 10_000),
                               batch_count=_number(spec, "batch_count", int, 9),

@@ -12,7 +12,11 @@ row sums unchanged.  The scalar ``columns(x)`` is derived from it once, on
 ``EcsOperation``: it merges duplicate rows and drops entries at or below
 ``COEFF_EPS``.  A lightcone block lists only the entries of its column
 above ``COEFF_EPS`` (zero-padded to its sparsity), so the width of a
-product is the product of its factors' sparsities.
+product is the product of its factors' sparsities.  ``flip_mask`` names
+the qubits on which a column's rows may differ from the column index, the
+only ones the estimator's amplitude ratios involve: the X mask of a signed
+Pauli, the union of a combination's X masks, a block's support, and the
+union over a product's factors.
 
 ``ecs_for`` builds V^dag Z^s V as the product of the per-qubit operators
 V^dag Z_j V.  Each is built once per decomposition and kept on it, in a
@@ -70,6 +74,12 @@ class EcsOperation(abc.ABC):
         Returns (values (B, s) complex, rows (B, s, n) uint8); zero values
         pad rows that have fewer entries.
         """
+
+    @property
+    def flip_mask(self) -> int:
+        """Qubits on which a column's rows may differ from the column index
+        (every qubit unless an operator knows better)."""
+        return (1 << self.n) - 1
 
     def columns(self, x: int) -> list[tuple[complex, int]]:
         """Nonzero entries of column x as (value, row-index) pairs, one per
@@ -153,11 +163,15 @@ class SignedPauli(EcsOperation):
     def sparsity(self) -> int:
         return 1
 
+    @property
+    def flip_mask(self) -> int:
+        return self.xmask
+
     def columns_bits(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bits = np.asarray(bits, dtype=np.uint8)
         xbits = _bits.index_to_bits(np.int64(self.xmask), self.n)
-        zbits = _bits.index_to_bits(np.int64(self.zmask), self.n).astype(np.int64)
-        par = (bits.astype(np.int64) @ zbits) & 1
+        zqubits = list(_bits.mask_to_qubits(self.zmask, self.n))
+        par = np.bitwise_xor.reduce(bits[:, zqubits] & 1, axis=1)
         betas = (self.phase * (1.0 - 2.0 * par)).astype(complex)[:, None]
         gammas = (bits ^ xbits)[:, None, :]
         return betas, gammas
@@ -237,7 +251,10 @@ class PauliCombination(EcsOperation):
         self._zmasks = np.array([key[1] for key, _ in kept], dtype=np.int64)
         self._coeffs = np.array([val for _, val in kept], dtype=complex)
         self._xbits = _bits.mask_bit_matrix(self._xmasks, n)
-        self._zbits = _bits.mask_bit_matrix(self._zmasks, n).astype(np.int64)
+        zbits = _bits.mask_bit_matrix(self._zmasks, n)
+        # parities read only the qubits some term's Z acts on
+        self._zqubits = np.flatnonzero(zbits.any(axis=0))
+        self._zbits = zbits[:, self._zqubits]
 
     @property
     def terms(self) -> list[tuple[complex, SignedPauli]]:
@@ -250,6 +267,10 @@ class PauliCombination(EcsOperation):
     def sparsity(self) -> int:
         return len(set(int(x) for x in self._xmasks))
 
+    @property
+    def flip_mask(self) -> int:
+        return functools.reduce(operator.or_, self._xmasks.tolist(), 0)
+
     def __matmul__(self, other: "PauliCombination") -> "PauliCombination":
         if self.n != other.n:
             raise ValidationError("Pauli widths disagree")
@@ -261,7 +282,8 @@ class PauliCombination(EcsOperation):
 
     def columns_bits(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bits = np.asarray(bits, dtype=np.uint8)
-        par = (bits.astype(np.int64) @ self._zbits.T) & 1  # (B, T)
+        # (B, T) uint8 sums wrap mod 256, which keeps their parity
+        par = (bits[:, self._zqubits] @ self._zbits.T) & 1
         betas = self._coeffs[None, :] * (1.0 - 2.0 * par)
         gammas = bits[:, None, :] ^ self._xbits[None, :, :]
         return betas, gammas
@@ -297,6 +319,10 @@ class LocalOperator(EcsOperation):
     def sparsity(self) -> int:
         return self._column_values.shape[1]
 
+    @property
+    def flip_mask(self) -> int:
+        return _bits.qubits_to_mask(self.support, self.n)
+
     def columns_bits(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bits = np.asarray(bits, dtype=np.uint8)
         support = list(self.support)
@@ -326,6 +352,11 @@ class EcsProduct(EcsOperation):
         for f in self.factors:
             out *= f.sparsity
         return out
+
+    @property
+    def flip_mask(self) -> int:
+        return functools.reduce(
+            operator.or_, (f.flip_mask for f in self.factors))
 
     def columns_bits(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bits = np.asarray(bits, dtype=np.uint8)

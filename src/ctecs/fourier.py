@@ -13,8 +13,10 @@ at most 1/4, and the median errs with probability at most exp(-K/8).
 
 The Born law does not depend on the observable, so one draw (a
 ``BornSample``, as in Van den Nest's CT/ECS estimator, arXiv:0911.1624)
-serves every mask of a table, with one amplitude per distinct drawn row.
-The bound holds per coefficient; only different masks' estimates correlate.
+serves every mask of a table.  f needs only the amplitude ratios, which
+involve only the qubits the operator may flip, so a mask costs time set by
+its neighbourhood, not by n.  The bound holds per coefficient; only
+different masks' estimates correlate.
 
 Two coefficient sources sit behind one interface: the estimator above, and
 a dense exact source so end-to-end tests can separate truncation error
@@ -235,8 +237,15 @@ class EstimatorStats:
 class BornSample:
     """K batches of B rows drawn once from a state's Born law, for any
     number of observables: batch i is ``state.sample_bits(rng.spawn(K)[i],
-    B)``, kept as (distinct row index, count) pairs over the distinct rows
-    of the whole draw, whose amplitudes are computed once."""
+    B)``, kept as an (R, K) count array over the R distinct rows of the
+    whole draw.
+
+    An estimate needs no amplitude, only the ratios <y|phi> / <x|phi> of
+    each column row y to its row x.  They differ only on the qubits the
+    operator may flip (``EcsOperation.flip_mask``), so the cost per mask is
+    set by those qubits and the diagonal gates touching them, not by n.
+    The amplitudes of the distinct rows are computed once, to reject a row
+    of amplitude 0 (a sampler that disagrees with the amplitudes)."""
 
     def __init__(self, state: CtState, cfg: EstimatorConfig,
                  rng: np.random.Generator):
@@ -249,31 +258,30 @@ class BornSample:
         self.batch_size = cfg.batch_size
         self.samples = cfg.batch_size * cfg.batch_count
         self.rows = _bits.index_to_bits(packed, state.n)
-        self.amplitudes = state.amplitudes(self.rows)
-        if np.any(self.amplitudes == 0.0):
+        if np.any(state.amplitudes(self.rows) == 0.0):
             raise ValidationError("a sampled row has amplitude 0; the state's "
                                   "sampler and amplitudes disagree")
-        self._batches = [(np.searchsorted(packed, rows), counts)
-                         for rows, counts in draws]
+        self._counts = np.zeros((len(packed), cfg.batch_count))
+        for k, (rows, counts) in enumerate(draws):
+            self._counts[np.searchsorted(packed, rows), k] = counts
+        self._totals = self._counts.sum(axis=1)
 
     def estimate(self, op: EcsOperation) -> EstimatorStats:
-        """Median of the batch means of f, the row-x inner product over the
-        column oracle, evaluated once per distinct row."""
+        """Median of the batch means of f, the row-x sum over the column
+        oracle of conj(beta) times the amplitude ratio, evaluated once per
+        distinct row."""
         if self.state.n != op.n:
             raise ValidationError("state and operator widths disagree")
         betas, gammas = op.columns_bits(self.rows)
-        b, width = betas.shape
-        gamma_amps = self.state.amplitudes(gammas.reshape(b * width, op.n))
-        f = ((np.conj(betas) * gamma_amps.reshape(b, width)).sum(axis=1)
-             / self.amplitudes).real
-        means = np.array([float((f[i] * counts).sum() / self.batch_size)
-                          for i, counts in self._batches])
-        second = sum(float(((f[i] ** 2) * counts).sum())
-                     for i, counts in self._batches) / self.samples
+        ratios = self.state.amplitude_ratios(
+            self.rows, gammas, _bits.mask_to_qubits(op.flip_mask, op.n))
+        f = np.einsum("rw,rw->r", np.conj(betas), ratios).real
+        means = np.einsum("r,rk->k", f, self._counts) / self.batch_size
         return EstimatorStats(
             value=float(np.median(means)),
             batch_means=means,
-            second_moment=second,
+            second_moment=float(
+                np.einsum("r,r,r->", f, f, self._totals)) / self.samples,
             samples=self.samples,
             distinct_rows=len(self.rows),
         )

@@ -288,6 +288,22 @@ def test_fourier_checks_degree_before_the_source(
     assert capsys.readouterr().err.rstrip().endswith(ending)
 
 
+@pytest.mark.parametrize("eta", [-1.0, 1.5, float("nan"), "x"])
+def test_estimator_eta_is_checked_without_tau(tmp_path, capsys, monkeypatch, eta):
+    monkeypatch.setattr(cli, "EstimatedCoefficients", _no_source)
+    instance = tmp_path / "iqp.json"
+    instance.write_text(json.dumps({"family": "IQP", "n": 4}))
+    if eta != "x":  # argparse itself rejects a flag value that is not a float
+        code = main(["fourier", "--circuit", str(instance), "--c", "1",
+                     "--source", "estimator", "--eta", str(eta)])
+        assert code == EXIT_USAGE
+        assert "config 'eta' must lie in (0, 1)" in capsys.readouterr().err
+    files, _ = _sample_case(source={"type": "estimator", "eta": eta})
+    code, err = _sample_exit(tmp_path, capsys, files["cfg.json"])
+    assert code == EXIT_USAGE
+    assert "config 'eta' must" in err
+
+
 def test_verify_suites_pass(tmp_path, capsys):
     for suite in ("noise-factorization", "sampler-fix"):
         code, out = run_cli(capsys, "verify", "--suite", suite, "--seed", "0")

@@ -2,14 +2,25 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ctecs import Circuit, ProductState, PhaseState, ValidationError, ct_state_of
+from ctecs import (
+    CONSTANT_DEPTH, FAMILIES, Circuit, ProductState, PhaseState, ValidationError,
+    ct_state_of, ecs_for, random_family_instance)
 from ctecs import _bits, oracle
-from ctecs.circuits import ccz, cz, gate_matrix, h, rx, rz, s, t, z
+from ctecs.circuits import (
+    DyadicAngle, build_conjugated_clifford, ccz, cz, gate_matrix, h,
+    random_clifford_gates, rx, rz, s, t, z)
 
 
 def all_amplitudes(state):
     bits = _bits.index_to_bits(np.arange(1 << state.n), state.n)
     return state.amplitudes(bits)
+
+
+def amplitude(state, x) -> complex:
+    """<x|phi> for a bitstring or an integer index x."""
+    if isinstance(x, str):
+        return complex(state.amplitudes(_bits.string_to_bits(x)))
+    return complex(state.amplitudes(_bits.index_to_bits(x, state.n)))
 
 
 def test_product_state_requires_normalized_pairs():
@@ -19,30 +30,30 @@ def test_product_state_requires_normalized_pairs():
 
 def test_zero_state_amplitudes():
     state = ProductState.zero(3)
-    assert state.amplitude("000") == 1.0
+    assert amplitude(state, "000") == 1.0
     for ix in range(1, 8):
-        assert state.amplitude(ix) == 0.0
+        assert amplitude(state, ix) == 0.0
 
 
 def test_plus_state_with_cz_phase():
     state = PhaseState(ProductState.plus(2), (cz(0, 1),))
-    assert state.amplitude("11") == pytest.approx(-0.5)
-    assert state.amplitude("01") == pytest.approx(0.5)
+    assert amplitude(state, "11") == pytest.approx(-0.5)
+    assert amplitude(state, "01") == pytest.approx(0.5)
 
 
 def test_th_zero_amplitude_matches_dense_product():
     mat = gate_matrix(t(0)) @ gate_matrix(h(0))
     state = ct_state_of(Circuit(1, (h(0), t(0))))
-    assert state.amplitude("1") == pytest.approx(complex(mat[1, 0]))
+    assert amplitude(state, "1") == pytest.approx(complex(mat[1, 0]))
     # equal to e^{i pi/4}/sqrt(2) up to the rotation-form global phase
-    assert abs(state.amplitude("1")) == pytest.approx(1 / np.sqrt(2))
-    ratio = state.amplitude("1") / state.amplitude("0")
+    assert abs(amplitude(state, "1")) == pytest.approx(1 / np.sqrt(2))
+    ratio = amplitude(state, "1") / amplitude(state, "0")
     assert ratio == pytest.approx(np.exp(1j * np.pi / 4))
 
 
 def test_amplitude_rejects_wrong_length():
     with pytest.raises(ValidationError):
-        ProductState.zero(3).amplitude("0101")
+        amplitude(ProductState.zero(3), "0101")
 
 
 @pytest.mark.parametrize("n", [2, 6, 12])
@@ -235,3 +246,99 @@ def test_amplitudes_reject_wrong_width_and_read_nonzero_as_one():
     bits = _random_rows(rng, 50, 8)
     scaled = bits * rng.integers(1, 5, bits.shape)
     np.testing.assert_array_equal(state.amplitudes(scaled), state.amplitudes(bits))
+
+
+# --- the fold and amplitude ratios ---------------------------------------------------
+
+def _unfolded(u_block):
+    """U|0^n> with only the gates up to the last non-diagonal one composed
+    into the wires, and every later gate left to the phase kernel."""
+    gates = u_block.gates
+    split = max((i + 1 for i, g in enumerate(gates) if not g.is_diagonal),
+                default=0)
+    mats = [np.eye(2, dtype=complex) for _ in range(u_block.n)]
+    for gate in gates[:split]:
+        mats[gate.qubits[0]] = gate_matrix(gate) @ mats[gate.qubits[0]]
+    base = ProductState(np.array([m[0, 0] for m in mats]),
+                        np.array([m[1, 0] for m in mats]))
+    return PhaseState(base, gates[split:])
+
+
+def _family_instances():
+    for family in FAMILIES:
+        for seed in range(4):
+            yield random_family_instance(
+                family, 3 + seed, np.random.default_rng(40 + seed))
+    # pi/4 rotations: each conjugated Z is a three-term Pauli combination
+    yield build_conjugated_clifford(
+        6, DyadicAngle(1, 3), DyadicAngle(-1, 3),
+        random_clifford_gates(np.random.default_rng(3), 6, 18))
+
+
+def test_fold_keeps_only_multi_qubit_gates_and_the_amplitudes():
+    for decomp in _family_instances():
+        folded, unfolded = ct_state_of(decomp.u_block), _unfolded(decomp.u_block)
+        assert all(len(gate.qubits) > 1 for gate in folded.diagonal)
+        assert ([g for g in folded.diagonal]
+                == [g for g in unfolded.diagonal if len(g.qubits) > 1])
+        np.testing.assert_allclose(
+            all_amplitudes(folded), all_amplitudes(unfolded), rtol=0, atol=1e-12)
+        for seed in range(3):
+            assert (folded.sample_bits(np.random.default_rng(seed), 2000).tobytes()
+                    == unfolded.sample_bits(np.random.default_rng(seed), 2000)
+                    .tobytes())
+
+
+def _assert_ratios_are_quotients(state, rows, gammas, qubits):
+    got = state.amplitude_ratios(rows, gammas, qubits)
+    want = state.amplitudes(gammas) / state.amplitudes(rows)[:, None]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    return got
+
+
+def test_ratios_are_amplitude_quotients_for_every_family():
+    zero_ratios = 0
+    for decomp in _family_instances():
+        n = decomp.n
+        state = ct_state_of(decomp.u_block)
+        rows = state.sample_bits(np.random.default_rng(n), 300)
+        for mask in _bits.masks_up_to_weight(n, 2)[1:]:
+            op = ecs_for(decomp, mask)
+            _, gammas = op.columns_bits(rows)
+            qubits = _bits.mask_to_qubits(op.flip_mask, n)
+            # rows differ from their column only on the flip mask
+            outside = np.setdiff1d(np.arange(n), qubits)
+            assert not (gammas[..., outside] ^ rows[:, None, outside]).any()
+            got = _assert_ratios_are_quotients(state, rows, gammas, qubits)
+            if decomp.family == CONSTANT_DEPTH:
+                # |0^n>: a flipped qubit has amplitude 0
+                flipped = (gammas != rows[:, None, :]).any(axis=-1)
+                assert np.all(got[flipped] == 0) and np.all(got[~flipped] == 1)
+                zero_ratios += flipped.sum()
+    assert zero_ratios > 0
+
+
+def test_ratios_with_one_qubit_and_fine_rotations_in_the_kernel():
+    rng = np.random.default_rng(14)
+    n = 6
+    angles = rng.uniform(0.2, 1.3, n)
+    base = ProductState(np.cos(angles),
+                        np.sin(angles) * np.exp(1j * rng.uniform(0, 6, n)))
+    diagonal = (rz(0, 1, 20), rz(2, -1, 13), rz(0, 1, 5), z(2), s(1), t(3),
+                cz(0, 1), cz(2, 5), ccz(1, 2, 3))
+    state = PhaseState(base, diagonal)
+    rows = (rng.random((400, n)) < 0.5).astype(np.uint8)
+    for qubits in [(0,), (2,), (0, 2), (1, 3, 4), ()]:
+        gammas = np.repeat(rows[:, None, :], 3, axis=1)
+        flips = (rng.random((400, 3, len(qubits))) < 0.5).astype(np.uint8)
+        gammas[..., list(qubits)] ^= flips
+        _assert_ratios_are_quotients(state, rows, gammas, qubits)
+        _assert_ratios_are_quotients(base, rows, gammas, qubits)
+    # the same gates after an H layer, folded: rotations of t = 13 and 20 on wires
+    u = Circuit(n, tuple(h(q) for q in range(n)) + diagonal)
+    folded = ct_state_of(u)
+    assert len(folded.diagonal) == 3
+    gammas = rows[:, None, :] ^ np.array([[1, 0, 1, 0, 0, 0]], dtype=np.uint8)
+    _assert_ratios_are_quotients(folded, rows, gammas, (0, 2))
+    np.testing.assert_allclose(
+        all_amplitudes(folded), oracle.simulate_state(u), atol=1e-12)

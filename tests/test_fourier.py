@@ -7,6 +7,7 @@ import pytest
 from conftest import random_table
 from ctecs import (
     CLIFFORD_MAGIC,
+    FAMILIES,
     Circuit,
     EstimatorConfig,
     FourierTable,
@@ -26,8 +27,7 @@ from ctecs import (
 )
 from ctecs import _bits, oracle
 from ctecs.checks import fourier_identity_sides
-from ctecs.circuits import (
-    DyadicAngle, build_conjugated_clifford, h, random_clifford_gates)
+from ctecs.circuits import h
 from ctecs.fourier import (
     MASK_BUDGET,
     BornSample,
@@ -408,30 +408,28 @@ def test_identity_check_random_iqp():
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
-class _CountingState(PhaseState):
-    """PhaseState that records how many rows each amplitudes call receives."""
-
-    def __init__(self, state):
-        super().__init__(state.base, state.diagonal)
-        object.__setattr__(self, "calls", [])
-
-    def amplitudes(self, bits):
-        self.calls.append(int(np.prod(np.shape(bits)[:-1])))
-        return super().amplitudes(bits)
-
-
-def test_born_sample_computes_each_amplitude_once():
-    # pi/4 rotations make each conjugated Z a three-term Pauli combination
-    decomp = build_conjugated_clifford(
-        6, DyadicAngle(1, 3), DyadicAngle(-1, 3),
-        random_clifford_gates(np.random.default_rng(3), 6, 18))
-    state = _CountingState(ct_state_of(decomp.u_block))
-    op = ecs_for(decomp, 0b100100)
-    width = op.columns_bits(np.zeros((1, 6), dtype=np.uint8))[0].shape[1]
-    assert width > 1
-    drawn = state.sample_bits(np.random.default_rng(8).spawn(1)[0], 500)
-    distinct = len(np.unique(drawn, axis=0))
-    cfg = EstimatorConfig(batch_size=500, batch_count=1)
-    BornSample(state, cfg, np.random.default_rng(8)).estimate(op)
-    assert state.calls == [distinct, distinct * width]
-    assert sum(state.calls) < 500 + distinct
+@pytest.mark.parametrize("family", FAMILIES)
+def test_born_sample_estimates_match_the_amplitude_quotient_reference(family):
+    """Batch means, median and second moment of a table's masks against f
+    summed row by row over every draw, with amplitudes, not ratios."""
+    # seed 37 gives a ConjugatedClifford instance of multi-term combinations
+    decomp = random_family_instance(family, 6, np.random.default_rng(37))
+    state = ct_state_of(decomp.u_block)
+    cfg = EstimatorConfig(batch_size=300, batch_count=5)
+    sample = BornSample(state, cfg, np.random.default_rng(32))
+    batches = [state.sample_bits(g, cfg.batch_size)
+               for g in np.random.default_rng(32).spawn(cfg.batch_count)]
+    for mask in _bits.masks_up_to_weight(6, 2)[1:]:
+        op = ecs_for(decomp, mask)
+        got = sample.estimate(op)
+        fs = []
+        for rows in batches:
+            betas, gammas = op.columns_bits(rows)
+            quotients = state.amplitudes(gammas) / state.amplitudes(rows)[:, None]
+            fs.append((np.conj(betas) * quotients).sum(axis=1).real)
+        means = np.array([f.mean() for f in fs])
+        np.testing.assert_allclose(got.batch_means, means, rtol=0, atol=1e-12)
+        assert got.value == pytest.approx(np.median(means), abs=1e-12)
+        assert got.second_moment == pytest.approx(
+            np.mean(np.concatenate(fs) ** 2), abs=1e-12)
+        assert got.distinct_rows == len(np.unique(np.concatenate(batches), axis=0))
