@@ -16,7 +16,6 @@ from .circuits import (
     build_conjugated_clifford,
     build_constant_depth,
     build_iqp,
-    compose,
     decompose_to_gate_set,
     decomposition_from_json_dict,
     decomposition_to_json_dict,

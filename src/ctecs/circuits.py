@@ -54,6 +54,17 @@ def _json_field(d, key: str, convert, what: str):
         raise ValidationError(f"{what} has an invalid {key!r}: {d[key]!r}") from None
 
 
+def _json_list(d: dict, key: str, convert, what: str) -> list:
+    """``convert`` of each item of the JSON list at ``key`` (none when
+    absent) of the object ``d`` that describes ``what``; a value that is
+    not a list is a ValidationError."""
+    items = d.get(key, [])
+    if not isinstance(items, list):
+        raise ValidationError(f"{what} has an invalid {key!r}: expected a list, "
+                              f"got {type(items).__name__}")
+    return [convert(item) for item in items]
+
+
 @dataclass(frozen=True)
 class DyadicAngle:
     """Rotation parameter theta = sign * 2*pi / 2**t with integer t >= 1."""
@@ -178,16 +189,13 @@ class Circuit:
             depth = max(depth, layer)
         return depth
 
-    def extended(self, gates: Iterable[Gate]) -> "Circuit":
-        return Circuit(self.n, self.gates + tuple(gates))
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "gates": [_gate_to_json(g) for g in self.gates]}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Circuit":
         return cls(_json_field(d, "n", int, "a circuit"),
-                   tuple(_gate_from_json(g) for g in d.get("gates", [])))
+                   _json_list(d, "gates", _gate_from_json, "a circuit"))
 
 
 def _gate_to_json(gate: Gate) -> dict:
@@ -368,13 +376,6 @@ class CtEcsDecomposition:
     def circuit(self) -> Circuit:
         """The full circuit: U's gates followed by V's gates."""
         return Circuit(self.n, self.u_block.gates + self.v_block.gates)
-
-
-def compose(v_block: Circuit, u_block: Circuit) -> Circuit:
-    """Circuit applying u_block first, then v_block."""
-    if v_block.n != u_block.n:
-        raise ValidationError("cannot compose circuits of different widths")
-    return Circuit(u_block.n, u_block.gates + v_block.gates)
 
 
 def build_iqp(n: int, diagonal_gates: Iterable[Gate]) -> CtEcsDecomposition:
@@ -619,21 +620,21 @@ def decomposition_to_json_dict(decomp: CtEcsDecomposition) -> dict:
 
 
 def decomposition_from_json_dict(d: dict) -> CtEcsDecomposition:
-    family = _json_field(d, "family", str, "a family file")
-    n = _json_field(d, "n", int, "a family file")
+    what = "a family file"
+    family = _json_field(d, "family", str, what)
+    n = _json_field(d, "n", int, what)
     if family == IQP:
-        return build_iqp(n, [_gate_from_json(g) for g in d.get("diagonal", [])])
+        return build_iqp(n, _json_list(d, "diagonal", _gate_from_json, what))
     if family == CLIFFORD_MAGIC:
-        return build_clifford_magic(n, [_gate_from_json(g) for g in d.get("clifford", [])])
+        return build_clifford_magic(n, _json_list(d, "clifford", _gate_from_json, what))
     if family == CONJUGATED_CLIFFORD:
         return build_conjugated_clifford(
             n,
-            tuple(DyadicAngle.from_json_dict(a) for a in d.get("phi", [])),
-            tuple(DyadicAngle.from_json_dict(a) for a in d.get("theta", [])),
-            [_gate_from_json(g) for g in d.get("clifford", [])],
+            _json_list(d, "phi", DyadicAngle.from_json_dict, what),
+            _json_list(d, "theta", DyadicAngle.from_json_dict, what),
+            _json_list(d, "clifford", _gate_from_json, what),
         )
     if family == CONSTANT_DEPTH:
-        circuit = Circuit(n, tuple(_gate_from_json(g) for g in d.get("gates", [])))
-        return build_constant_depth(
-            circuit, _json_field(d, "depth_bound", int, "a family file"))
+        circuit = Circuit(n, _json_list(d, "gates", _gate_from_json, what))
+        return build_constant_depth(circuit, _json_field(d, "depth_bound", int, what))
     raise ValidationError(f"unknown family {family!r}")

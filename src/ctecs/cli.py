@@ -97,11 +97,13 @@ def _emit(report: dict, out: str | None) -> None:
 
 
 def _read_json(path: str):
-    with open(path) as handle:
-        try:
+    try:
+        with open(path) as handle:
             return json.load(handle)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise ValidationError(f"{path} is not a JSON file: {exc}") from None
+    except (IsADirectoryError, PermissionError) as exc:
+        raise ValidationError(f"{path} is not a readable file: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValidationError(f"{path} is not a JSON file: {exc}") from None
 
 
 def _number(config: dict, key: str, kind=float, default=None):

@@ -22,26 +22,18 @@ Product amplitudes are looked up per 8-qubit chunk: each chunk has a
 table of the products of its qubits' amplitudes for all 256 values, so a
 row costs one lookup and one multiply per chunk.
 
-Diagonal phases are integer exponents.  Every supported diagonal gate is
-a dyadic phase: Z, CZ and CCZ multiply by exp(2 pi i * AND(x_q) / 2), and
-the rotation forms S = Rz(2 pi / 4), T = Rz(2 pi / 8) and Rz(+-2 pi / 2**t)
-multiply by exp(2 pi i * (+-x_q) / 2**t) times the constant
-exp(-+ pi i / 2**t).  With T = max(3, largest t <= 12), the gates are
-compiled once into groups by arity, each holding qubit index arrays and
-integer weights mod 2**T (gates on the same qubits merge), plus one global
-phase constant; exponents are summed in uint16, which wraps at a multiple
-of 2**T.  A row's exponent e is one AND of the indexed bit columns
-and one integer dot product per arity, reduced mod 2**T, and its phase
-const * exp(2 pi i e / 2**T) is read from a table of 2**T roots of unity.
-Rotations with t > 12 (``DyadicAngle`` accepts any t >= 1) keep float
-radians per qubit, computed with ``math.ldexp`` so no t overflows, and add
-one float dot product; the table never grows past 2**12 entries.
+The phase part is a sign.  Every one-qubit phase is folded into the
+wires, so a phase state holds only CZ and CCZ, and its amplitude is the
+base amplitude times (-1)**f(x), where f(x) is the XOR over gates of the
+AND of each gate's bits (a GF(2) polynomial of degree at most 3).  Gates
+on one qubit set cancel in pairs; the rest are grouped by arity into qubit
+index arrays, so a row's f is one AND of the indexed bit columns and one
+XOR reduction per arity.
 """
 
 from __future__ import annotations
 
 import abc
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -146,98 +138,27 @@ class ProductState(CtState):
         return ratios
 
 
-# widest dyadic exponent of the lookup table; finer rotations use float radians
-_TABLE_T_MAX = 12
-
-
-def _dyadic_form(gate: Gate) -> tuple[int, int, bool]:
-    """(sign, t, rotation) with the gate's phase exp(2 pi i sign AND(x)/2**t),
-    times exp(-pi i sign / 2**t) when ``rotation`` (the Rz form)."""
-    kind = gate.kind
-    if kind in ("Z", "CZ", "CCZ"):
-        return 1, 1, False
-    if kind == "S":
-        return 1, 2, True
-    if kind == "T":
-        return 1, 3, True
-    if kind == "RZ":
-        return gate.angle.sign, gate.angle.t, True
-    raise ValidationError(f"unsupported diagonal kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class _PhaseKernel:
-    """Diagonal gates compiled to integer exponent weights mod 2**t."""
-
-    t: int
-    groups: tuple[tuple[np.ndarray, np.ndarray], ...]  # (qubit columns, weights)
-    const: complex  # global phase
-    table: np.ndarray  # exp(2 pi i e / 2**t) for every e
-    fine: np.ndarray | None  # radians per qubit of rotations with t > _TABLE_T_MAX
-
-    @classmethod
-    def compile(cls, diagonal, n: int) -> "_PhaseKernel":
-        forms = [(gate.qubits, *_dyadic_form(gate)) for gate in diagonal]
-        t = max([3] + [ft for _, _, ft, _ in forms if ft <= _TABLE_T_MAX])
-        weights: dict[tuple[int, ...], int] = {}
-        fine = np.zeros(n)
-        const_units = 0  # global phase in units of 2 pi / 2**(t + 1)
-        const_radians = []
-        for qubits, sign, ft, rotation in forms:
-            if ft > _TABLE_T_MAX:
-                fine[qubits[0]] += math.ldexp(sign * 2 * math.pi, -ft)
-                const_radians.append(math.ldexp(-sign * math.pi, -ft))
-                continue
-            key = tuple(sorted(qubits))
-            weight = sign << (t - ft)
-            weights[key] = (weights.get(key, 0) + weight) % (1 << t)
-            if rotation:
-                const_units -= weight
-        groups = []
-        for arity in (1, 2, 3):
-            keys = [k for k, w in weights.items() if len(k) == arity and w]
-            if keys:
-                groups.append((np.array(keys, dtype=np.intp).T,
-                               np.array([weights[k] for k in keys], dtype=np.uint16)))
-        const = cmath.exp(1j * (math.pi * (const_units % (1 << (t + 1))) / 2 ** t
-                                + math.fsum(const_radians)))
-        table = np.exp(2j * math.pi * np.arange(1 << t) / 2 ** t)
-        return cls(t, tuple(groups), const, table, fine if fine.any() else None)
-
-    def restricted(self, qubits) -> "_PhaseKernel":
-        """The gates that touch ``qubits``, without the global phase.  Two
-        rows that differ only on ``qubits`` have the same phase ratio under
-        this kernel as under the whole one."""
-        qubits = list(qubits)
-        groups = []
-        for columns, weights in self.groups:
-            touching = np.isin(columns, qubits).any(axis=0)
-            if touching.any():
-                groups.append((columns[:, touching], weights[touching]))
-        fine = None
-        if self.fine is not None and self.fine[qubits].any():
-            fine = np.zeros_like(self.fine)
-            fine[qubits] = self.fine[qubits]
-        return _PhaseKernel(self.t, tuple(groups), 1.0, self.table, fine)
-
-    def exponents(self, bits: np.ndarray) -> np.ndarray:
-        """Integer phase exponents mod 2**t of (..., n) 0/1 rows, summed in
-        uint16, whose wraparound 2**16 is a multiple of 2**t."""
-        exponent = np.zeros(bits.shape[:-1], dtype=np.uint16)
-        for qubits, weights in self.groups:
-            selected = bits[..., qubits[0]]
-            for column in qubits[1:]:
-                selected &= bits[..., column]
-            exponent += np.einsum("...g,g->...", selected, weights)
-        return exponent & np.uint16((1 << self.t) - 1)
+def _parity(terms, bits: np.ndarray) -> np.ndarray:
+    """f(x) of (..., n) 0/1 rows as a (...) 0/1 array: the XOR over the
+    gates in ``terms`` (qubit index arrays grouped by arity) of the AND of
+    each gate's bits."""
+    parity = np.zeros(bits.shape[:-1], dtype=bits.dtype)
+    for columns in terms:
+        selected = bits[..., columns[0]]
+        for column in columns[1:]:
+            selected &= bits[..., column]
+        parity ^= np.bitwise_xor.reduce(selected, axis=-1)
+    return parity
 
 
 @dataclass(frozen=True)
 class PhaseState(CtState):
-    """Diagonal gates applied to a product state.
+    """CZ and CCZ gates applied to a product state.
 
-    amplitude(x) = phase(x) * base_amplitude(x) with |phase(x)| = 1, so
-    the Born distribution is the base state's.
+    amplitude(x) = (-1)**f(x) * base_amplitude(x), where f is the XOR over
+    the gates of the AND of each gate's qubits, so the Born distribution is
+    the base state's.  One-qubit phases belong in the base state
+    (``ct_state_of`` folds them there).
     """
 
     base: ProductState
@@ -245,25 +166,24 @@ class PhaseState(CtState):
 
     def __post_init__(self):
         object.__setattr__(self, "diagonal", tuple(self.diagonal))
+        odd: set[tuple[int, ...]] = set()  # gates on one qubit set cancel in pairs
         for gate in self.diagonal:
-            if not gate.is_diagonal:
-                raise ValidationError(f"{gate.kind} is not diagonal")
+            if gate.kind not in ("CZ", "CCZ"):
+                raise ValidationError(
+                    f"a phase state takes CZ and CCZ only, got {gate.kind}")
             if any(q >= self.base.n for q in gate.qubits):
                 raise ValidationError("diagonal gate outside register")
-        object.__setattr__(
-            self, "_kernel", _PhaseKernel.compile(self.diagonal, self.base.n))
+            odd ^= {tuple(sorted(gate.qubits))}
+        by_arity = [sorted(k for k in odd if len(k) == arity) for arity in (2, 3)]
+        object.__setattr__(self, "_terms", tuple(
+            np.array(keys, dtype=np.intp).T for keys in by_arity if keys))
 
     @property
     def n(self) -> int:
         return self.base.n
 
     def phases(self, bits) -> np.ndarray:
-        bits = _bit_rows(bits, self.n)
-        kernel = self._kernel
-        phase = kernel.const * kernel.table[kernel.exponents(bits)]
-        if kernel.fine is not None:
-            phase = phase * np.exp(1j * (bits @ kernel.fine))
-        return phase
+        return np.where(_parity(self._terms, _bit_rows(bits, self.n)), -1.0, 1.0)
 
     def amplitudes(self, bits) -> np.ndarray:
         return self.base.amplitudes(bits) * self.phases(bits)
@@ -272,19 +192,16 @@ class PhaseState(CtState):
         return self.base.sample_bits(rng, size)
 
     def amplitude_ratios(self, bits, rows, qubits) -> np.ndarray:
-        """The base state's ratio times the phase ratio of the gates that
-        touch ``qubits``."""
+        """The base state's ratio, negated where the parity of the gates
+        that touch ``qubits`` differs between the row and its x."""
         ratios = self.base.amplitude_ratios(bits, rows, qubits)
-        bits, rows = np.asarray(bits), np.asarray(rows)
-        kernel = self._kernel.restricted(qubits)
-        if kernel.groups:
-            turns = kernel.exponents(rows) - kernel.exponents(bits)[..., None]
-            ratios *= kernel.table[turns & np.uint16((1 << kernel.t) - 1)]
-        if kernel.fine is not None:
-            qubits = list(qubits)
-            flipped = rows[..., qubits].astype(float) - bits[..., None, qubits]
-            ratios *= np.exp(1j * np.einsum(
-                "...q,q->...", flipped, kernel.fine[qubits]))
+        terms = [columns[:, np.isin(columns, qubits).any(axis=0)]
+                 for columns in self._terms]
+        terms = [columns for columns in terms if columns.size]
+        if terms:
+            bits, rows = np.asarray(bits), np.asarray(rows)
+            flips = _parity(terms, rows) ^ _parity(terms, bits)[..., None]
+            ratios[flips > 0] *= -1
         return ratios
 
 

@@ -90,13 +90,6 @@ class FourierTable:
             return float(self._values[pos])
         return 0.0
 
-    def evaluate(self, x) -> float:
-        """q(x) = sum_s v_s (-1)**(s.x) for one integer or bitstring x."""
-        if isinstance(x, str):
-            x = _bits.string_to_index(x)
-        signs = _bits.sign_character(self._masks, [x], self.n)[:, 0]
-        return float(signs @ self._values)
-
     def dense_values(self) -> np.ndarray:
         """The represented function on all 2**n points (index order)."""
         coeffs = np.zeros(1 << self.n)
@@ -118,10 +111,6 @@ class FourierTable:
         entries = {
             _bits.string_to_index(e["s"]): float(e["v"]) for e in d["entries"]}
         return cls(int(d["n"]), int(d["c"]), entries)
-
-
-def uniform_table(n: int) -> FourierTable:
-    return FourierTable(n, 0, {0: 0.5 ** n})
 
 
 def attenuate(table: FourierTable, rate: float) -> FourierTable:

@@ -137,23 +137,6 @@ def output_distribution(circuit: Circuit) -> DistVector:
     return DistVector(circuit.n, p / p.sum())
 
 
-def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    a, b = np.asarray(a).ravel(), np.asarray(b).ravel()
-    overlap = np.vdot(a, b)
-    return abs(abs(overlap) - np.linalg.norm(a) * np.linalg.norm(b)) <= tol
-
-
-def matrices_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    flat_a, flat_b = np.asarray(a).ravel(), np.asarray(b).ravel()
-    k = np.argmax(np.abs(flat_a))
-    if abs(flat_a[k]) < tol:
-        return bool(np.all(np.abs(flat_b) <= tol))
-    phase = flat_b[k] / flat_a[k]
-    if abs(abs(phase) - 1.0) > tol:
-        return False
-    return bool(np.max(np.abs(flat_a * phase - flat_b)) <= tol)
-
-
 # --- Fourier transforms --------------------------------------------------------
 
 def walsh_hadamard(values: np.ndarray) -> np.ndarray:

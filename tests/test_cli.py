@@ -493,6 +493,42 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, monkeypatch, case):
     assert capsys.readouterr().err.startswith("invalid input: ")
 
 
+@pytest.mark.parametrize("document,got", [
+    ({"n": 3, "gates": 5}, "int"),
+    ({"n": 3, "gates": None}, "NoneType"),
+    ({"n": 3, "gates": {"g": "H", "q": [0]}}, "dict"),
+    ({"family": "IQP", "n": 3, "diagonal": 5}, "int"),
+    ({"family": "ConjugatedClifford", "n": 3, "phi": 5}, "int"),
+    ({"family": "ConjugatedClifford", "n": 3, "phi": [], "theta": "ab"}, "str"),
+], ids=["gates int", "gates null", "gates object", "diagonal", "phi", "theta"])
+def test_gate_and_angle_lists_must_be_json_lists(tmp_path, capsys, document, got):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(document))
+    assert main(["exact", "--circuit", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.rstrip().endswith(f"expected a list, got {got}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--circuit", "PATH"], ["fourier", "--circuit", "PATH", "--c", "1"],
+    ["sample", "--config", "PATH"], ["report", "PATH"],
+], ids=["exact", "fourier", "sample", "report"])
+def test_a_path_that_is_not_a_readable_file_is_usage_error(
+        tmp_path, capsys, monkeypatch, argv):
+    code = main([str(tmp_path) if a == "PATH" else a for a in argv])
+    assert code == EXIT_USAGE
+    assert "is not a readable file" in capsys.readouterr().err
+
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    readable = tmp_path / "c.json"
+    readable.write_text(json.dumps({"n": 1, "gates": []}))
+    monkeypatch.setattr(cli, "open", denied, raising=False)
+    code = main([str(readable) if a == "PATH" else a for a in argv])
+    assert code == EXIT_USAGE
+    assert "Permission denied" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fields", [
     {"delta": "x"}, {"lambda": "x"}, {"c_max": "x"}, {"epsilon": "x"},
     {"alpha": {"assume": "x"}},

@@ -94,21 +94,23 @@ def test_sample_rotated_product_state_chi_square():
 
 
 def test_phase_state_unit_modulus_ratio_and_same_born_law():
-    rng = np.random.default_rng(5)
-    base = ProductState.plus(4)
     diag = (z(0), s(1), t(2), rz(3, -1, 4), cz(0, 2), ccz(1, 2, 3))
-    state = PhaseState(base, diag)
-    bits = _bits.index_to_bits(np.arange(16), 4)
-    ratios = state.amplitudes(bits) / base.amplitudes(bits)
+    bits = _all_rows(4)
+    state = _assert_h_layer_matches_reference(4, diag, bits)
+    plus = ProductState.plus(4)
+    ratios = state.amplitudes(bits) / plus.amplitudes(bits)
     np.testing.assert_allclose(np.abs(ratios), 1.0, atol=1e-12)
     np.testing.assert_allclose(
-        np.abs(state.amplitudes(bits)) ** 2, np.abs(base.amplitudes(bits)) ** 2,
+        np.abs(state.amplitudes(bits)) ** 2, np.abs(plus.amplitudes(bits)) ** 2,
         atol=1e-12)
 
 
 def test_phase_state_rejects_non_diagonal():
+    for gate in (h(0), z(0), s(1), t(0), rz(1, -1, 5)):
+        with pytest.raises(ValidationError):
+            PhaseState(ProductState.plus(2), (gate,))
     with pytest.raises(ValidationError):
-        PhaseState(ProductState.plus(2), (h(0),))
+        PhaseState(ProductState.plus(2), (cz(0, 2),))
 
 
 # --- ct_state_of ------------------------------------------------------------------
@@ -150,7 +152,7 @@ def test_ct_state_of_rejects_entangling_prefix():
         ct_state_of(Circuit(2, (cz(0, 1), h(0))))
 
 
-# --- phase kernel and product tables against per-gate references ---------------------
+# --- phases and product tables against per-gate references ---------------------------
 
 def _reference_phases(diagonal, bits):
     """Per-gate complex product, Rz(theta)|x> = exp(i theta (x - 1/2))|x>."""
@@ -174,31 +176,51 @@ def _random_rows(rng, count, n):
     return (rng.random((count, n)) < 0.5).astype(np.uint8)
 
 
+def _all_rows(n):
+    return _bits.index_to_bits(np.arange(1 << n), n)
+
+
+def _h_layer_then(n, gates):
+    return Circuit(n, tuple(h(q) for q in range(n)) + tuple(gates))
+
+
+def _assert_h_layer_matches_reference(n, gates, bits):
+    """ct_state_of an H layer followed by diagonal ``gates``: its
+    amplitudes are 2**(-n/2) times the per-gate phases, and all of them
+    are the dense state's.  Returns the state."""
+    u = _h_layer_then(n, gates)
+    state = ct_state_of(u)
+    np.testing.assert_allclose(
+        state.amplitudes(bits) * 2 ** (n / 2), _reference_phases(gates, bits),
+        atol=1e-12)
+    np.testing.assert_allclose(
+        all_amplitudes(state), oracle.simulate_state(u), atol=1e-12)
+    return state
+
+
 def test_phases_match_per_gate_reference_for_every_kind():
     rng = np.random.default_rng(11)
     n = 6
     gates = [z(0), s(1), t(2), cz(3, 4), ccz(0, 2, 5), rz(5, 1, 70)]
-    for exponent in range(1, 9):
+    for exponent in range(1, 21):
         for sign in (1, -1):
             gates.append(rz(int(rng.integers(n)), sign, exponent))
     bits = _random_rows(rng, 500, n)
     for gate in gates:
-        state = PhaseState(ProductState.plus(n), (gate,))
-        np.testing.assert_allclose(
-            state.phases(bits), _reference_phases((gate,), bits), atol=1e-12)
-    state = PhaseState(ProductState.plus(n), gates)
+        _assert_h_layer_matches_reference(n, (gate,), bits)
+    state = _assert_h_layer_matches_reference(n, gates, bits)
     np.testing.assert_allclose(
-        state.phases(bits), _reference_phases(gates, bits), atol=1e-12)
+        state.phases(bits),
+        _reference_phases([g for g in gates if len(g.qubits) > 1], bits), atol=0)
     # a t = 70 rotation is below float resolution next to 1, so its sign
     # shows only in the imaginary part
     tiny = (rz(5, -1, 70),)
     np.testing.assert_allclose(
-        PhaseState(ProductState.plus(n), tiny).phases(bits).imag,
+        ct_state_of(_h_layer_then(n, tiny)).amplitudes(bits).imag * 2 ** (n / 2),
         _reference_phases(tiny, bits).imag, rtol=1e-9)
 
 
 def test_phases_match_reference_on_a_500_gate_mix():
-    # rotations with 12 < t <= 20 take the float route beside the lookup table
     rng = np.random.default_rng(12)
     n = 10
     makers = [
@@ -208,14 +230,14 @@ def test_phases_match_reference_on_a_500_gate_mix():
     ]
     gates = [makers[rng.integers(len(makers))](rng.permutation(n)[:3])
              for _ in range(500)]
-    state = PhaseState(ProductState.plus(n), gates)
     bits = _random_rows(rng, 2000, n)
-    np.testing.assert_allclose(
-        state.phases(bits), _reference_phases(gates, bits), atol=1e-12)
-    # leading batch dimensions are kept
-    np.testing.assert_allclose(
-        state.phases(bits.reshape(40, 50, n)),
-        _reference_phases(gates, bits).reshape(40, 50), atol=1e-12)
+    state = _assert_h_layer_matches_reference(n, gates, bits)
+    # the folded state's phases are the CZ/CCZ signs; leading batch
+    # dimensions are kept
+    signs = _reference_phases([g for g in gates if len(g.qubits) > 1], bits)
+    np.testing.assert_array_equal(state.phases(bits), signs.real)
+    np.testing.assert_array_equal(
+        state.phases(bits.reshape(40, 50, n)), signs.real.reshape(40, 50))
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 17])
@@ -237,7 +259,7 @@ def test_product_amplitudes_across_byte_boundaries(n):
 
 def test_amplitudes_reject_wrong_width_and_read_nonzero_as_one():
     rng = np.random.default_rng(13)
-    state = PhaseState(ProductState.plus(8), (t(0), cz(1, 7), rz(3, -1, 5)))
+    state = ct_state_of(_h_layer_then(8, (t(0), cz(1, 7), rz(3, -1, 5))))
     for width in (7, 12):
         with pytest.raises(ValidationError):
             state.base.amplitudes(np.zeros((4, width), dtype=np.uint8))
@@ -250,18 +272,20 @@ def test_amplitudes_reject_wrong_width_and_read_nonzero_as_one():
 
 # --- the fold and amplitude ratios ---------------------------------------------------
 
-def _unfolded(u_block):
-    """U|0^n> with only the gates up to the last non-diagonal one composed
-    into the wires, and every later gate left to the phase kernel."""
-    gates = u_block.gates
-    split = max((i + 1 for i, g in enumerate(gates) if not g.is_diagonal),
-                default=0)
+def _split(u_block):
+    """Index just past the last non-diagonal gate of ``u_block``."""
+    return max((i + 1 for i, g in enumerate(u_block.gates) if not g.is_diagonal),
+               default=0)
+
+
+def _prefix_state(u_block):
+    """The product state of the gates up to the last non-diagonal one; the
+    diagonal rest only changes phases, so its Born law is U|0^n>'s."""
     mats = [np.eye(2, dtype=complex) for _ in range(u_block.n)]
-    for gate in gates[:split]:
+    for gate in u_block.gates[:_split(u_block)]:
         mats[gate.qubits[0]] = gate_matrix(gate) @ mats[gate.qubits[0]]
-    base = ProductState(np.array([m[0, 0] for m in mats]),
+    return ProductState(np.array([m[0, 0] for m in mats]),
                         np.array([m[1, 0] for m in mats]))
-    return PhaseState(base, gates[split:])
 
 
 def _family_instances():
@@ -277,15 +301,16 @@ def _family_instances():
 
 def test_fold_keeps_only_multi_qubit_gates_and_the_amplitudes():
     for decomp in _family_instances():
-        folded, unfolded = ct_state_of(decomp.u_block), _unfolded(decomp.u_block)
+        u = decomp.u_block
+        folded, prefix = ct_state_of(u), _prefix_state(u)
         assert all(len(gate.qubits) > 1 for gate in folded.diagonal)
         assert ([g for g in folded.diagonal]
-                == [g for g in unfolded.diagonal if len(g.qubits) > 1])
+                == [g for g in u.gates[_split(u):] if len(g.qubits) > 1])
         np.testing.assert_allclose(
-            all_amplitudes(folded), all_amplitudes(unfolded), rtol=0, atol=1e-12)
+            all_amplitudes(folded), oracle.simulate_state(u), rtol=0, atol=1e-12)
         for seed in range(3):
             assert (folded.sample_bits(np.random.default_rng(seed), 2000).tobytes()
-                    == unfolded.sample_bits(np.random.default_rng(seed), 2000)
+                    == prefix.sample_bits(np.random.default_rng(seed), 2000)
                     .tobytes())
 
 
@@ -318,27 +343,57 @@ def test_ratios_are_amplitude_quotients_for_every_family():
     assert zero_ratios > 0
 
 
+def _flipped_rows(rng, rows, qubits, width=3):
+    """``width`` copies of each row with random flips on ``qubits``."""
+    gammas = np.repeat(rows[:, None, :], width, axis=1)
+    flips = (rng.random((len(rows), width, len(qubits))) < 0.5).astype(np.uint8)
+    gammas[..., list(qubits)] ^= flips
+    return gammas
+
+
 def test_ratios_with_one_qubit_and_fine_rotations_in_the_kernel():
+    # one-qubit phases, rotations of t = 13 and 20 among them, fold into
+    # the wires of a nontrivial product state (H then RX on every qubit)
     rng = np.random.default_rng(14)
     n = 6
+    diagonal = (rz(0, 1, 20), rz(2, -1, 13), rz(0, 1, 5), z(2), s(1), t(3),
+                cz(0, 1), cz(2, 5), ccz(1, 2, 3))
+    u = Circuit(n, tuple(h(q) for q in range(n))
+                + tuple(rx(q, 1 - 2 * (q % 2), 2 + q) for q in range(n)) + diagonal)
+    state = ct_state_of(u)
+    assert state.diagonal == diagonal[6:]
+    np.testing.assert_allclose(
+        all_amplitudes(state), oracle.simulate_state(u), atol=1e-12)
+    rows = _random_rows(rng, 400, n)
+    for qubits in [(0,), (2,), (0, 2), (1, 3, 4), ()]:
+        gammas = _flipped_rows(rng, rows, qubits)
+        _assert_ratios_are_quotients(state, rows, gammas, qubits)
+        _assert_ratios_are_quotients(state.base, rows, gammas, qubits)
+    # the same gates after an H layer alone, folded
+    folded = _assert_h_layer_matches_reference(n, diagonal, _all_rows(n))
+    gammas = rows[:, None, :] ^ np.array([[1, 0, 1, 0, 0, 0]], dtype=np.uint8)
+    _assert_ratios_are_quotients(folded, rows, gammas, (0, 2))
+
+
+def test_repeated_gates_on_one_qubit_set_cancel():
+    rng = np.random.default_rng(15)
+    n = 5
     angles = rng.uniform(0.2, 1.3, n)
     base = ProductState(np.cos(angles),
                         np.sin(angles) * np.exp(1j * rng.uniform(0, 6, n)))
-    diagonal = (rz(0, 1, 20), rz(2, -1, 13), rz(0, 1, 5), z(2), s(1), t(3),
-                cz(0, 1), cz(2, 5), ccz(1, 2, 3))
-    state = PhaseState(base, diagonal)
-    rows = (rng.random((400, n)) < 0.5).astype(np.uint8)
-    for qubits in [(0,), (2,), (0, 2), (1, 3, 4), ()]:
-        gammas = np.repeat(rows[:, None, :], 3, axis=1)
-        flips = (rng.random((400, 3, len(qubits))) < 0.5).astype(np.uint8)
-        gammas[..., list(qubits)] ^= flips
-        _assert_ratios_are_quotients(state, rows, gammas, qubits)
-        _assert_ratios_are_quotients(base, rows, gammas, qubits)
-    # the same gates after an H layer, folded: rotations of t = 13 and 20 on wires
-    u = Circuit(n, tuple(h(q) for q in range(n)) + diagonal)
-    folded = ct_state_of(u)
-    assert len(folded.diagonal) == 3
-    gammas = rows[:, None, :] ^ np.array([[1, 0, 1, 0, 0, 0]], dtype=np.uint8)
-    _assert_ratios_are_quotients(folded, rows, gammas, (0, 2))
-    np.testing.assert_allclose(
-        all_amplitudes(folded), oracle.simulate_state(u), atol=1e-12)
+    kept = (cz(2, 4), ccz(0, 1, 3))
+    state = PhaseState(base, (cz(0, 1),) + kept + (cz(1, 0), ccz(3, 1, 0), ccz(0, 3, 1)))
+    reference = PhaseState(base, kept)
+    rows = _random_rows(rng, 300, n)
+    np.testing.assert_array_equal(state.phases(rows), reference.phases(rows))
+    for qubits in [(0,), (1,), (0, 1), (2, 3)]:
+        gammas = _flipped_rows(rng, rows, qubits)
+        got = _assert_ratios_are_quotients(state, rows, gammas, qubits)
+        np.testing.assert_array_equal(
+            got, reference.amplitude_ratios(rows, gammas, qubits))
+    # flipping qubit 0 alone meets only the cancelled CZ and the CCZ
+    gammas = rows[:, None, :] ^ np.array([[1, 0, 0, 0, 0]], dtype=np.uint8)
+    np.testing.assert_array_equal(
+        state.amplitude_ratios(rows, gammas, (0,)),
+        base.amplitude_ratios(rows, gammas, (0,))
+        * np.where(rows[:, None, 1] & rows[:, None, 3], -1, 1))

@@ -35,7 +35,6 @@ from ctecs.fourier import (
     ExactCoefficients,
     estimate_expectation_detailed,
     theory_accuracy_denominator,
-    uniform_table,
 )
 
 
@@ -55,14 +54,12 @@ def test_table_rejects_masks_above_cutoff():
 
 def test_table_evaluate_hand_example():
     table = FourierTable(1, 1, {0: 0.5, 1: 0.7})
-    assert table.evaluate(0) == pytest.approx(1.2)
-    assert table.evaluate(1) == pytest.approx(-0.2)
+    np.testing.assert_allclose(table.dense_values(), [1.2, -0.2], atol=1e-15)
 
 
 def test_uniform_table_evaluates_to_uniform():
-    table = uniform_table(3)
-    for ix in range(8):
-        assert table.evaluate(ix) == pytest.approx(1 / 8)
+    table = FourierTable(3, 0, {0: 0.5 ** 3})
+    np.testing.assert_allclose(table.dense_values(), np.full(8, 1 / 8), atol=1e-15)
 
 
 def test_tables_sum_to_one_dense():
@@ -116,12 +113,12 @@ def test_attenuate_identity_circuit_value():
     entries = {mask: 0.25 for mask in range(4)}
     table = FourierTable(2, 2, entries)
     out = attenuate(table, 0.5)
-    assert out.evaluate(0b00) == pytest.approx(9 / 16)
+    assert out.dense_values()[0b00] == pytest.approx(9 / 16)
 
 
 def test_attenuate_rejects_rate_one():
     with pytest.raises(ValidationError):
-        attenuate(uniform_table(2), 1.0)
+        attenuate(FourierTable(2, 0, {0: 0.25}), 1.0)
 
 
 def test_attenuated_exact_table_equals_dense_noisy_distribution():

@@ -26,15 +26,19 @@ from ctecs import (
 )
 from ctecs import _bits, oracle
 from ctecs.circuits import h
-from ctecs.fourier import EstimatedCoefficients, ExactCoefficients, uniform_table
+from ctecs.fourier import EstimatedCoefficients, ExactCoefficients
 from ctecs.checks import sign_fix_gap
 from ctecs.sampler import negative_mass
+
+
+def _uniform_table(n: int) -> FourierTable:
+    return FourierTable(n, 0, {0: 0.5 ** n})
 
 
 # --- marginal sums ------------------------------------------------------------
 
 def test_marginal_sum_uniform_table():
-    table = uniform_table(2)
+    table = _uniform_table(2)
     assert marginal_sum(table, "0") == pytest.approx(0.5)
     assert marginal_sum(table, "1") == pytest.approx(0.5)
 
@@ -66,7 +70,7 @@ def test_marginal_sum_agrees_with_dense():
 # --- the sampler ----------------------------------------------------------------
 
 def test_sampler_uniform_table_is_uniform():
-    table = uniform_table(2)
+    table = _uniform_table(2)
     samples = sample_alg_batch(table, np.random.default_rng(2), 100_000)
     emp = empirical_distribution(samples, 2)
     assert np.max(np.abs(emp.p - 0.25)) <= 0.01
@@ -94,7 +98,7 @@ def test_enumeration_equals_q_when_nonnegative():
 
 def test_enumeration_above_dense_cap_is_a_resource_limit():
     with pytest.raises(ResourceLimitError, match="at most 20 qubits"):
-        enumerate_alg_distribution(uniform_table(21))
+        enumerate_alg_distribution(_uniform_table(21))
 
 
 def _brute_branches(table, prefixes) -> list[np.ndarray]:
@@ -179,7 +183,7 @@ def test_enumeration_is_q_on_nonnegative_tables_and_keeps_the_fix_identity():
 
 
 def test_sampler_rejects_negative_size():
-    table = uniform_table(3)
+    table = _uniform_table(3)
     with pytest.raises(ValidationError):
         sample_alg_batch(table, np.random.default_rng(0), -5)
     assert sample_alg_batch(table, np.random.default_rng(0), 0).shape == (0, 3)
