@@ -90,7 +90,7 @@ def qubits_to_mask(qubits, n: int) -> int:
 
 
 def mask_to_qubits(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(j for j in range(n) if qubit_bit(mask, j, n))
+    return tuple(n - 1 - b for b in range(n - 1, -1, -1) if mask >> b & 1)
 
 
 def masks_of_weight(n: int, w: int):

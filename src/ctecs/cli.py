@@ -106,15 +106,25 @@ def _read_json(path: str):
         raise ValidationError(f"{path} is not a JSON file: {exc}") from None
 
 
-def _number(config: dict, key: str, kind=float, default=None):
-    """``kind`` of the config value at ``key`` (``default`` when absent);
+def _number(config: dict, key: str, kind=float, default=None, where="config"):
+    """``kind`` of the ``where`` value at ``key`` (``default`` when absent);
     a value that is not a number is a usage error."""
     value = config.get(key, default)
     try:
         return kind(value)
     except (TypeError, ValueError):
         raise ValidationError(
-            f"config {key!r} must be a number, got {value!r}") from None
+            f"{where} {key!r} must be a number, got {value!r}") from None
+
+
+def _object(config: dict, key: str, where="config") -> dict:
+    """The JSON object at ``key`` (empty when absent); any other value is a
+    usage error."""
+    value = config.get(key, {})
+    if not isinstance(value, dict):
+        raise ValidationError(
+            f"{where} {key!r} must be a JSON object, got {value!r}")
+    return value
 
 
 def _in_unit_interval(config: dict, key: str) -> float:
@@ -335,8 +345,7 @@ def _check_sample_config(config) -> None:
     if missing:
         raise ValidationError(
             f"mode {mode} config lacks {', '.join(missing)}")
-    if not isinstance(config.get("source", {}), dict):
-        raise ValidationError("'source' must be a JSON object")
+    _object(config, "source")
     if not isinstance(config.get("circuit", ""), str):
         raise ValidationError("'circuit' must be a file path")
     unknown = sorted(set(config) - _CONFIG_KEYS)
@@ -493,12 +502,13 @@ def cmd_report(args) -> int:
         if not isinstance(data, dict):
             raise ValidationError(f"{path} is not a ctecs report")
         row = {"file": path, "command": data.get("command")}
+        where = f"report {path}"
         if data.get("command") == "exact":
             row["n"] = data.get("n")
-            row["alpha"] = data.get("alpha")
-            alphas.append(data["alpha"])
+            row["alpha"] = _number(data, "alpha", where=where)
+            alphas.append(row["alpha"])
         if data.get("command") == "sample":
-            run = data.get("report", {})
+            run = _object(data, "report", where)
             row.update({
                 "model": run.get("model"),
                 "n": run.get("n"),
@@ -506,8 +516,8 @@ def cmd_report(args) -> int:
                 "mask_count": run.get("mask_count"),
             })
             if "verification" in data:
-                row["l1_enumerated_vs_dense"] = data["verification"].get(
-                    "l1_enumerated_vs_dense")
+                row["l1_enumerated_vs_dense"] = _object(
+                    data, "verification", where).get("l1_enumerated_vs_dense")
         if data.get("command") == "verify":
             row["ok"] = data.get("ok")
         rows.append(row)

@@ -26,9 +26,10 @@ The phase part is a sign.  Every one-qubit phase is folded into the
 wires, so a phase state holds only CZ and CCZ, and its amplitude is the
 base amplitude times (-1)**f(x), where f(x) is the XOR over gates of the
 AND of each gate's bits (a GF(2) polynomial of degree at most 3).  Gates
-on one qubit set cancel in pairs; the rest are grouped by arity into qubit
-index arrays, so a row's f is one AND of the indexed bit columns and one
-XOR reduction per arity.
+on one qubit set cancel in pairs; the rest form one (3, G) qubit index
+array, a CZ repeating its last qubit, so a row's f is two ANDs of the
+indexed bit columns and one XOR reduction.  The gates are also indexed by
+qubit, so a ratio over flipped qubits F reads only the gates that touch F.
 """
 
 from __future__ import annotations
@@ -138,17 +139,14 @@ class ProductState(CtState):
         return ratios
 
 
-def _parity(terms, bits: np.ndarray) -> np.ndarray:
+def _parity(gates: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """f(x) of (..., n) 0/1 rows as a (...) 0/1 array: the XOR over the
-    gates in ``terms`` (qubit index arrays grouped by arity) of the AND of
-    each gate's bits."""
-    parity = np.zeros(bits.shape[:-1], dtype=bits.dtype)
-    for columns in terms:
-        selected = bits[..., columns[0]]
-        for column in columns[1:]:
-            selected &= bits[..., column]
-        parity ^= np.bitwise_xor.reduce(selected, axis=-1)
-    return parity
+    columns of the (3, G) qubit index array ``gates`` of the AND of each
+    gate's bits, read from one contiguous copy of each bit column used."""
+    qubits = np.unique(gates)
+    columns = np.moveaxis(bits, -1, 0)[qubits]
+    return np.bitwise_xor.reduce(np.bitwise_and.reduce(
+        columns[np.searchsorted(qubits, gates)], axis=0), axis=0)
 
 
 @dataclass(frozen=True)
@@ -174,16 +172,19 @@ class PhaseState(CtState):
             if any(q >= self.base.n for q in gate.qubits):
                 raise ValidationError("diagonal gate outside register")
             odd ^= {tuple(sorted(gate.qubits))}
-        by_arity = [sorted(k for k in odd if len(k) == arity) for arity in (2, 3)]
-        object.__setattr__(self, "_terms", tuple(
-            np.array(keys, dtype=np.intp).T for keys in by_arity if keys))
+        keys = sorted(odd)  # a CZ is a CCZ on a repeated qubit: x AND x = x
+        object.__setattr__(self, "_gates", np.array(
+            [key + key[-1:] * (3 - len(key)) for key in keys],
+            dtype=np.intp).reshape(-1, 3).T)
+        object.__setattr__(self, "_touching", [  # gates by qubit
+            {g for g, key in enumerate(keys) if q in key} for q in range(self.n)])
 
     @property
     def n(self) -> int:
         return self.base.n
 
     def phases(self, bits) -> np.ndarray:
-        return np.where(_parity(self._terms, _bit_rows(bits, self.n)), -1.0, 1.0)
+        return np.where(_parity(self._gates, _bit_rows(bits, self.n)), -1.0, 1.0)
 
     def amplitudes(self, bits) -> np.ndarray:
         return self.base.amplitudes(bits) * self.phases(bits)
@@ -193,15 +194,14 @@ class PhaseState(CtState):
 
     def amplitude_ratios(self, bits, rows, qubits) -> np.ndarray:
         """The base state's ratio, negated where the parity of the gates
-        that touch ``qubits`` differs between the row and its x."""
+        touching ``qubits`` (read from the gate index) differs in row and x."""
         ratios = self.base.amplitude_ratios(bits, rows, qubits)
-        terms = [columns[:, np.isin(columns, qubits).any(axis=0)]
-                 for columns in self._terms]
-        terms = [columns for columns in terms if columns.size]
-        if terms:
+        gates = self._gates[:, list(set().union(
+            *(self._touching[q] for q in qubits)))]
+        if gates.size:
             bits, rows = np.asarray(bits), np.asarray(rows)
-            flips = _parity(terms, rows) ^ _parity(terms, bits)[..., None]
-            ratios[flips > 0] *= -1
+            flips = _parity(gates, rows) ^ _parity(gates, bits)[..., None]
+            ratios *= 1.0 - 2.0 * flips
         return ratios
 
 

@@ -16,7 +16,8 @@ product is the product of its factors' sparsities.  ``flip_mask`` names
 the qubits on which a column's rows may differ from the column index, the
 only ones the estimator's amplitude ratios involve: the X mask of a signed
 Pauli, the union of a combination's X masks, a block's support, and the
-union over a product's factors.
+union over a product's factors.  ``check_ecs_observable`` checks a block of
+operators at once: each oracle reads its own columns, one merge checks all.
 
 ``ecs_for`` builds V^dag Z^s V as the product of the per-qubit operators
 V^dag Z_j V.  Each is built once per decomposition and kept on it, in a
@@ -54,6 +55,7 @@ SUPPORT_CAP = 12
 TERM_CAP = 256
 CHECK_TRIALS = 4  # columns sampled by check_ecs_observable
 CHECK_TOL = 1e-9
+BLOCK_MASKS = 128  # masks per estimator block (one spot check, one reduction)
 OBSERVABLE_MEMO_BYTES = 64 << 20  # per decomposition, see _z_factor
 
 
@@ -84,7 +86,7 @@ class EcsOperation(abc.ABC):
     def columns(self, x: int) -> list[tuple[complex, int]]:
         """Nonzero entries of column x as (value, row-index) pairs, one per
         distinct row in ascending row order."""
-        _, rows, values = _merged_columns(self, np.array([x], dtype=np.int64))
+        _, rows, values = _merged_columns([self], (0, 1), np.array([x], np.int64))
         return [(complex(v), int(r)) for v, r in zip(values, rows)]
 
 
@@ -102,15 +104,24 @@ def _merge_rows(keys: np.ndarray, rows: np.ndarray, values: np.ndarray
     return keys[starts], rows[starts], np.add.reduceat(values, starts)
 
 
-def _merged_columns(op: EcsOperation, xs: np.ndarray
+def _block_columns(ops, bounds, xs: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ops[i]``'s columns ``xs[bounds[i]:bounds[i + 1]]``, for operators
+    of one width, as flat (position in ``xs``, row, value) arrays."""
+    bits, parts = _bits.index_to_bits(xs, ops[0].n), []
+    for op, lo, hi in zip(ops, bounds[:-1], bounds[1:]):
+        betas, gammas = op.columns_bits(bits[lo:hi])
+        parts.append((np.repeat(np.arange(lo, hi), betas.shape[1]),
+                      gammas.reshape(-1, op.n), betas.ravel()))
+    positions, rows, values = (np.concatenate(a) for a in zip(*parts))
+    return positions, _bits.bits_to_index(rows), values
+
+
+def _merged_columns(ops, bounds, xs: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero entries of columns ``xs`` as flat (position in ``xs``, row,
-    value) arrays: one entry per distinct row of a column, ascending, with
-    values at or below ``COEFF_EPS`` dropped."""
-    betas, gammas = op.columns_bits(_bits.index_to_bits(xs, op.n))
-    positions = np.broadcast_to(np.arange(len(xs))[:, None], betas.shape)
-    positions, rows, values = _merge_rows(
-        positions, _bits.bits_to_index(gammas), betas)
+    """The entries of ``_block_columns`` merged: one per distinct row of a
+    column, ascending, with values at or below ``COEFF_EPS`` dropped."""
+    positions, rows, values = _merge_rows(*_block_columns(ops, bounds, xs))
     keep = np.abs(values) > COEFF_EPS
     return positions[keep], rows[keep], values[keep]
 
@@ -172,7 +183,7 @@ class SignedPauli(EcsOperation):
         xbits = _bits.index_to_bits(np.int64(self.xmask), self.n)
         zqubits = list(_bits.mask_to_qubits(self.zmask, self.n))
         par = np.bitwise_xor.reduce(bits[:, zqubits] & 1, axis=1)
-        betas = (self.phase * (1.0 - 2.0 * par)).astype(complex)[:, None]
+        betas = np.where(par, -self.phase, self.phase)[:, None]
         gammas = (bits ^ xbits)[:, None, :]
         return betas, gammas
 
@@ -252,9 +263,9 @@ class PauliCombination(EcsOperation):
         self._coeffs = np.array([val for _, val in kept], dtype=complex)
         self._xbits = _bits.mask_bit_matrix(self._xmasks, n)
         zbits = _bits.mask_bit_matrix(self._zmasks, n)
-        # parities read only the qubits some term's Z acts on
+        # parities read only the qubits some term's Z acts on (exact float32 sums)
         self._zqubits = np.flatnonzero(zbits.any(axis=0))
-        self._zbits = zbits[:, self._zqubits]
+        self._zbits = zbits[:, self._zqubits].astype(np.float32)
 
     @property
     def terms(self) -> list[tuple[complex, SignedPauli]]:
@@ -282,10 +293,10 @@ class PauliCombination(EcsOperation):
 
     def columns_bits(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bits = np.asarray(bits, dtype=np.uint8)
-        # (B, T) uint8 sums wrap mod 256, which keeps their parity
-        par = (bits[:, self._zqubits] @ self._zbits.T) & 1
-        betas = self._coeffs[None, :] * (1.0 - 2.0 * par)
-        gammas = bits[:, None, :] ^ self._xbits[None, :, :]
+        sums = bits[:, self._zqubits].astype(np.float32) @ self._zbits.T
+        betas = self._coeffs[None, :] * (1.0 - 2.0 * (sums.astype(np.uint8) & 1))
+        gammas = np.repeat(bits[:, None, :], len(self._coeffs), axis=1)
+        gammas ^= self._xbits
         return betas, gammas
 
 
@@ -520,31 +531,38 @@ def dense_from_columns(op: EcsOperation) -> np.ndarray:
     return mat
 
 
-def check_ecs_observable(op: EcsOperation, rng: np.random.Generator) -> None:
-    """Spot-check Hermiticity and A @ A = I on sampled basis columns.
+def check_ecs_observable(ops, rng: np.random.Generator) -> None:
+    """Spot-check Hermiticity and A @ A = I on sampled basis columns of one
+    operator, or of a block of operators of one width.
 
     Every conjugated Z^s observable satisfies both; operators failing
     either are rejected at the estimator boundary.  ``CHECK_TRIALS`` columns
-    x are drawn one at a time from ``rng``; one batched call reads them all
-    and a second one the columns of all their rows.  The first failing
-    trial names the error, Hermiticity before the square.
+    x per operator are drawn one at a time from ``rng``, in operator order;
+    per operator one batched call reads them and a second one the columns
+    of their rows, and one merge checks the block.  The first failing trial
+    of the first failing operator names the error, Hermiticity first.
     """
-    xs = np.array([rng.integers(1 << op.n) for _ in range(CHECK_TRIALS)],
-                  dtype=np.int64)
-    trials, gammas, betas = _merged_columns(op, xs)
-    betas2, rows2 = op.columns_bits(_bits.index_to_bits(gammas, op.n))
-    rows2 = _bits.bits_to_index(rows2)
-    mirror = np.where(rows2 == xs[trials][:, None], betas2, 0.0).sum(axis=1)
+    ops = [ops] if isinstance(ops, EcsOperation) else list(ops)
+    if not ops:
+        return
+    xs = np.array([rng.integers(1 << op.n)
+                   for op in ops for _ in range(CHECK_TRIALS)], dtype=np.int64)
+    total, bounds = len(xs), np.arange(0, len(xs) + 1, CHECK_TRIALS)
+    trials, gammas, betas = _merged_columns(ops, bounds, xs)
+    entries, rows2, betas2 = _block_columns(
+        ops, np.searchsorted(trials, bounds), gammas)
+    owners = trials[entries]
+    hit = rows2 == xs[owners]
+    mirror = np.zeros(len(trials), dtype=complex)
+    np.add.at(mirror, entries[hit], betas2[hit])
     not_hermitian = np.bincount(
         trials[np.abs(mirror - np.conj(betas)) > CHECK_TOL],
-        minlength=CHECK_TRIALS) > 0
+        minlength=total) > 0
     square_trials, _, square = _merge_rows(
-        np.append(np.broadcast_to(trials[:, None], rows2.shape),
-                  np.arange(CHECK_TRIALS)),
-        np.append(rows2, xs),
-        np.append(betas[:, None] * betas2, np.full(CHECK_TRIALS, -1.0)))
+        np.append(owners, np.arange(total)), np.append(rows2, xs),
+        np.append(betas[entries] * betas2, np.full(total, -1.0)))
     not_square = np.bincount(square_trials[np.abs(square) > CHECK_TOL],
-                             minlength=CHECK_TRIALS) > 0
+                             minlength=total) > 0
     failed = np.flatnonzero(not_hermitian | not_square)
     if failed.size and not_hermitian[failed[0]]:
         raise ValidationError("operator is not Hermitian on sampled columns")

@@ -16,7 +16,8 @@ The Born law does not depend on the observable, so one draw (a
 serves every mask of a table.  f needs only the amplitude ratios, which
 involve only the qubits the operator may flip, so a mask costs time set by
 its neighbourhood, not by n.  The bound holds per coefficient; only
-different masks' estimates correlate.
+different masks' estimates correlate.  Masks run in blocks of at most
+``ecs.BLOCK_MASKS``, each spot-checked in one call and reduced in one pass.
 
 Two coefficient sources sit behind one interface: the estimator above, and
 a dense exact source so end-to-end tests can separate truncation error
@@ -35,7 +36,7 @@ import numpy as np
 from . import _bits, oracle
 from .circuits import CtEcsDecomposition
 from .ctstate import CtState, ct_state_of
-from .ecs import EcsOperation, check_ecs_observable, ecs_for
+from .ecs import BLOCK_MASKS, EcsOperation, check_ecs_observable, ecs_for
 from .errors import ResourceLimitError, ValidationError
 
 MASK_BUDGET = 100_000
@@ -216,11 +217,11 @@ class EstimatorConfig:
 
 @dataclass
 class EstimatorStats:
-    value: float
+    """Per mask of a block: value, K batch means (a row), second moment."""
+
+    value: np.ndarray
     batch_means: np.ndarray
-    second_moment: float
-    samples: int
-    distinct_rows: int
+    second_moment: np.ndarray
 
 
 class BornSample:
@@ -255,25 +256,23 @@ class BornSample:
             self._counts[np.searchsorted(packed, rows), k] = counts
         self._totals = self._counts.sum(axis=1)
 
-    def estimate(self, op: EcsOperation) -> EstimatorStats:
-        """Median of the batch means of f, the row-x sum over the column
-        oracle of conj(beta) times the amplitude ratio, evaluated once per
-        distinct row."""
-        if self.state.n != op.n:
-            raise ValidationError("state and operator widths disagree")
-        betas, gammas = op.columns_bits(self.rows)
-        ratios = self.state.amplitude_ratios(
-            self.rows, gammas, _bits.mask_to_qubits(op.flip_mask, op.n))
-        f = np.einsum("rw,rw->r", np.conj(betas), ratios).real
-        means = np.einsum("r,rk->k", f, self._counts) / self.batch_size
-        return EstimatorStats(
-            value=float(np.median(means)),
-            batch_means=means,
-            second_moment=float(
-                np.einsum("r,r,r->", f, f, self._totals)) / self.samples,
-            samples=self.samples,
-            distinct_rows=len(self.rows),
-        )
+    def estimate(self, ops) -> EstimatorStats:
+        """Per operator of a block, the median of the batch means of f, the
+        row-x sum over the column oracle of conj(beta) times the amplitude
+        ratio, evaluated once per distinct row; one product each gives its
+        batch means and second moment, one median serves the block."""
+        means = np.empty((len(ops), self._counts.shape[1]))
+        second = np.empty(len(ops))
+        for i, op in enumerate(ops):
+            if self.state.n != op.n:
+                raise ValidationError("state and operator widths disagree")
+            betas, gammas = op.columns_bits(self.rows)
+            ratios = self.state.amplitude_ratios(
+                self.rows, gammas, _bits.mask_to_qubits(op.flip_mask, op.n))
+            f = np.einsum("rw,rw->r", np.conj(betas), ratios).real
+            means[i] = np.einsum("r,rk->k", f, self._counts) / self.batch_size
+            second[i] = np.einsum("r,r,r->", f, f, self._totals) / self.samples
+        return EstimatorStats(np.median(means, axis=1), means, second)
 
 
 def estimate_expectation_detailed(
@@ -290,7 +289,9 @@ def estimate_expectation_detailed(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     check_ecs_observable(op, rng)
-    return BornSample(state, cfg, rng).estimate(op)
+    st = BornSample(state, cfg, rng).estimate([op])
+    return EstimatorStats(float(st.value[0]), st.batch_means[0],
+                          float(st.second_moment[0]))
 
 
 # --- coefficient sources -------------------------------------------------------------
@@ -350,27 +351,32 @@ class EstimatedCoefficients(CoefficientSource):
         if len(masks) == 0:
             return np.zeros(0)
         sample = BornSample(self._state, self.cfg, rng)
-        stats = [self._estimate(sample, int(mask), rng) for mask in masks]
+        stats = [self._estimate(sample, masks[i:i + BLOCK_MASKS], rng)
+                 for i in range(0, len(masks), BLOCK_MASKS)]
         diag = self._diagnostics
-        diag["masks"] += len(stats)
+        diag["masks"] += len(masks)
         diag["rows_drawn"] += sample.samples
         diag["distinct_rows"] += len(sample.rows)
-        diag["second_moment_max"] = max(
-            [diag["second_moment_max"]] + [st.second_moment for st in stats])
-        diag["batch_mean_spread_max"] = max(
-            [diag["batch_mean_spread_max"]]
-            + [float(np.ptp(st.batch_means)) for st in stats])
-        return np.array([st.value for st in stats])
+        diag["second_moment_max"] = max(diag["second_moment_max"], *(
+            float(st.second_moment.max()) for st in stats))
+        diag["batch_mean_spread_max"] = max(diag["batch_mean_spread_max"], *(
+            float(np.ptp(st.batch_means, axis=1).max()) for st in stats))
+        return np.concatenate([st.value for st in stats])
 
-    def _estimate(self, sample: BornSample, mask: int,
+    def _estimate(self, sample: BornSample, masks,
                   rng: np.random.Generator) -> EstimatorStats:
-        """One mask on the shared sample.  Its operator is freed on return;
-        the per-qubit factors stay memoised on the decomposition."""
-        op = ecs_for(self.decomp, mask)
-        started = time.perf_counter()
-        check_ecs_observable(op, rng)
-        self.check_s += time.perf_counter() - started
-        return sample.estimate(op)
+        """One block of masks on the shared sample, checked as one (up to a
+        mask whose operator cannot be built, so the earlier failure raises).
+        Its operators are freed on return; their factors stay memoised."""
+        ops = []
+        try:
+            for mask in masks:
+                ops.append(ecs_for(self.decomp, int(mask)))
+        finally:
+            started = time.perf_counter()
+            check_ecs_observable(ops, rng)
+            self.check_s += time.perf_counter() - started
+        return sample.estimate(ops)
 
     def describe(self) -> dict:
         return {"type": "estimator", "config": self.cfg.to_json_dict()}

@@ -343,6 +343,22 @@ def test_report_aggregates(tmp_path, capsys):
     assert rows[0]["command"] == "verify" and rows[0]["ok"]
 
 
+@pytest.mark.parametrize("data, field", [
+    ({"command": "exact"}, "'alpha' must be a number"),
+    ({"command": "exact", "alpha": "high"}, "'alpha' must be a number"),
+    ({"command": "exact", "alpha": [2.0]}, "'alpha' must be a number"),
+    ({"command": "sample", "report": 5}, "'report' must be a JSON object"),
+    ({"command": "sample", "report": {}, "verification": [0.1]},
+     "'verification' must be a JSON object"),
+])
+def test_report_rejects_malformed_fields(tmp_path, capsys, data, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code = main(["report", str(path)])
+    assert code == EXIT_USAGE
+    assert field in capsys.readouterr().err
+
+
 def test_report_summarizes_alpha_over_exact_batch(tmp_path, capsys):
     run_cli(capsys, "gen", "--family", "IQP", "--n", "5", "--count", "4",
             "--seed", "6", "--out-dir", str(tmp_path))

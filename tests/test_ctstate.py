@@ -397,3 +397,25 @@ def test_repeated_gates_on_one_qubit_set_cancel():
         state.amplitude_ratios(rows, gammas, (0,)),
         base.amplitude_ratios(rows, gammas, (0,))
         * np.where(rows[:, None, 1] & rows[:, None, 3], -1, 1))
+
+
+def test_gate_index_ratios_on_a_wide_register():
+    # 62 qubits and 160 CZ/CCZ gates: a ratio reads only the gates that
+    # touch its flipped qubits, at either end of the register
+    rng = np.random.default_rng(16)
+    n = 62
+    angles = rng.uniform(0.5, 1.0, n)
+    base = ProductState(np.cos(angles),
+                        np.sin(angles) * np.exp(1j * rng.uniform(0, 6, n)))
+    gates = tuple(
+        cz(*rng.choice(n, 2, replace=False)) if k % 2 else
+        ccz(*rng.choice(n, 3, replace=False)) for k in range(160))
+    assert len({tuple(sorted(g.qubits)) for g in gates}) >= 100
+    state = PhaseState(base, gates)
+    rows = _random_rows(rng, 200, n)
+    for ends in (range(0, 8), range(n - 8, n)):
+        for size in range(1, 7):
+            qubits = tuple(sorted(
+                int(q) for q in rng.choice(ends, size, replace=False)))
+            _assert_ratios_are_quotients(
+                state, rows, _flipped_rows(rng, rows, qubits), qubits)

@@ -28,7 +28,7 @@ from ctecs import (
     local_z_operator,
     random_family_instance,
 )
-from ctecs import _bits, ecs, oracle
+from ctecs import _bits, ecs, fourier, oracle
 from ctecs.circuits import cz, gate_matrix, h, rx_matrix, rz_matrix, s, t, x, y
 from ctecs.checks import ecs_error
 from ctecs.ecs import CHECK_TRIALS, SUPPORT_CAP, dense_from_columns
@@ -434,9 +434,10 @@ class _WrongColumn(EcsOperation):
         return np.where(hit[:, None], self.scale * betas, betas), gammas
 
 
-def _checked_columns(seed: int, n: int) -> list[int]:
+def _checked_columns(seed: int, n: int, count: int = 1) -> list[int]:
+    """The columns a check of ``count`` operators draws, in order."""
     probe = np.random.default_rng(seed)
-    return [int(probe.integers(1 << n)) for _ in range(CHECK_TRIALS)]
+    return [int(probe.integers(1 << n)) for _ in range(CHECK_TRIALS * count)]
 
 
 @pytest.mark.parametrize("trial", range(CHECK_TRIALS))
@@ -466,6 +467,74 @@ def test_check_draws_one_scalar_per_trial(family):
     for _ in range(CHECK_TRIALS):
         probe.integers(1 << 6)
     assert rng.bit_generator.state == probe.bit_generator.state
+
+
+# a block mixing diagonal and flipping operators, so a wrong column can
+# fail either check
+_BLOCK = (SignedPauli.z_on(10, (0,)), SignedPauli.x_on(10, (0,)),
+          SignedPauli.z_on(10, (3, 9)), SignedPauli.y_on(10, (5,)),
+          SignedPauli.z_on(10, (7,)))
+
+
+def _wrong(block, position, xs):
+    """``block`` with the column of ``position``'s trial ``position %
+    CHECK_TRIALS`` wrong: a diagonal operator squares to 4 there, the others
+    lose Hermiticity."""
+    op = block[position]
+    scale, message = (2.0, "squared") if op.xmask == 0 else (1j, "Hermitian")
+    x = xs[CHECK_TRIALS * position + position % CHECK_TRIALS]
+    return (block[:position] + (_WrongColumn(op, x, scale),)
+            + block[position + 1:]), message
+
+
+@pytest.mark.parametrize("position", range(len(_BLOCK)))
+def test_block_check_names_the_first_wrong_operator(position):
+    xs = _checked_columns(5, 10, len(_BLOCK))
+    check_ecs_observable(_BLOCK, np.random.default_rng(5))
+    block, message = _wrong(_BLOCK, position, xs)
+    with pytest.raises(ValidationError, match=message):
+        check_ecs_observable(block, np.random.default_rng(5))
+    if position + 1 < len(_BLOCK):
+        # a later wrong operator, whose message differs, does not win
+        block, _ = _wrong(block, position + 1, xs)
+        with pytest.raises(ValidationError, match=message):
+            check_ecs_observable(block, np.random.default_rng(5))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_block_check_draws_one_scalar_per_trial_in_operator_order(family):
+    decomp = random_family_instance(family, 6, np.random.default_rng(9))
+    ops = [ecs_for(decomp, mask) for mask in _bits.masks_up_to_weight(6, 2)[1:]]
+    rng = np.random.default_rng(11)
+    check_ecs_observable(ops, rng)
+    probe = np.random.default_rng(11)
+    for _ in range(CHECK_TRIALS * len(ops)):
+        probe.integers(1 << 6)
+    assert rng.bit_generator.state == probe.bit_generator.state
+
+
+@pytest.mark.parametrize("wrong_first", [True, False])
+def test_block_raises_at_the_earlier_of_a_wrong_and_an_unbuildable_mask(
+        monkeypatch, wrong_first):
+    decomp = random_family_instance(IQP, 6, np.random.default_rng(1))
+    masks = _bits.masks_up_to_weight(6, 2)[1:]
+    wrong, unbuildable = (
+        (masks[4], masks[9]) if wrong_first else (masks[9], masks[4]))
+    build = fourier.ecs_for
+
+    def ecs_for_stub(decomp, mask):
+        if mask == unbuildable:
+            raise ResourceLimitError("cannot build this mask")
+        op = build(decomp, mask)
+        # i X^s is not Hermitian on any column
+        return SignedPauli(op.n, 1, op.xmask, op.zmask) if mask == wrong else op
+
+    monkeypatch.setattr(fourier, "ecs_for", ecs_for_stub)
+    source = EstimatedCoefficients(
+        decomp, EstimatorConfig(batch_size=50, batch_count=1))
+    with pytest.raises((ValidationError, ResourceLimitError),
+                       match="Hermitian" if wrong_first else "cannot build"):
+        source.expectations(masks, np.random.default_rng(0))
 
 
 # --- sparse lightcone columns and bit packing ---------------------------------------

@@ -25,7 +25,7 @@ from ctecs import (
     random_family_instance,
     validate_lambda,
 )
-from ctecs import _bits, oracle
+from ctecs import _bits, fourier, oracle
 from ctecs.checks import fourier_identity_sides
 from ctecs.circuits import h
 from ctecs.fourier import (
@@ -416,17 +416,42 @@ def test_born_sample_estimates_match_the_amplitude_quotient_reference(family):
     sample = BornSample(state, cfg, np.random.default_rng(32))
     batches = [state.sample_bits(g, cfg.batch_size)
                for g in np.random.default_rng(32).spawn(cfg.batch_count)]
-    for mask in _bits.masks_up_to_weight(6, 2)[1:]:
-        op = ecs_for(decomp, mask)
-        got = sample.estimate(op)
+    ops = [ecs_for(decomp, mask) for mask in _bits.masks_up_to_weight(6, 2)[1:]]
+    block = sample.estimate(ops)
+    assert len(sample.rows) == len(np.unique(np.concatenate(batches), axis=0))
+    for op, value, got_means, got_second in zip(
+            ops, block.value, block.batch_means, block.second_moment):
         fs = []
         for rows in batches:
             betas, gammas = op.columns_bits(rows)
             quotients = state.amplitudes(gammas) / state.amplitudes(rows)[:, None]
             fs.append((np.conj(betas) * quotients).sum(axis=1).real)
         means = np.array([f.mean() for f in fs])
-        np.testing.assert_allclose(got.batch_means, means, rtol=0, atol=1e-12)
-        assert got.value == pytest.approx(np.median(means), abs=1e-12)
-        assert got.second_moment == pytest.approx(
+        np.testing.assert_allclose(got_means, means, rtol=0, atol=1e-12)
+        assert value == pytest.approx(np.median(means), abs=1e-12)
+        assert got_second == pytest.approx(
             np.mean(np.concatenate(fs) ** 2), abs=1e-12)
-        assert got.distinct_rows == len(np.unique(np.concatenate(batches), axis=0))
+
+
+@pytest.mark.parametrize("block_masks", [None, 1, 10])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_block_estimates_match_each_mask_alone(monkeypatch, family, block_masks):
+    """A table's values and diagnostics, in blocks of every mask (default),
+    one mask or a few, against a block of one per mask on the same draw."""
+    if block_masks is not None:
+        monkeypatch.setattr(fourier, "BLOCK_MASKS", block_masks)
+    decomp = random_family_instance(family, 8, np.random.default_rng(37))
+    cfg = EstimatorConfig(batch_size=400, batch_count=5)
+    masks = _bits.masks_up_to_weight(8, 2)[1:]
+    source = EstimatedCoefficients(decomp, cfg)
+    got = source.expectations(masks, np.random.default_rng(3))
+    sample = BornSample(ct_state_of(decomp.u_block), cfg, np.random.default_rng(3))
+    alone = [sample.estimate([ecs_for(decomp, mask)]) for mask in masks]
+    np.testing.assert_allclose(
+        got, [st.value[0] for st in alone], rtol=0, atol=1e-14)
+    diag = source.diagnostics()["estimator"]
+    assert diag["masks"] == len(masks)
+    assert diag["second_moment_max"] == pytest.approx(
+        max(st.second_moment[0] for st in alone), abs=1e-14)
+    assert diag["batch_mean_spread_max"] == pytest.approx(
+        max(np.ptp(st.batch_means[0]) for st in alone), abs=1e-14)
